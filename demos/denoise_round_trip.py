@@ -22,6 +22,7 @@ from manner import (
     TrainSettings,
     build_model,
     manner_forward,
+    num_params,
     si_snr,
     train,
 )
@@ -53,7 +54,7 @@ print(f"input SI-SNR: {si_snr(noisy, clean):.2f} dB")
 
 config = ModelConfig(base_channels=12, depth=2, chunk_size=16)
 params = build_model(config, seed=1)
-print(f"model parameters: {params.tree.num_params():,}")
+print(f"model parameters: {num_params(params):,}")
 
 settings = TrainSettings(
     epochs=600,

@@ -43,7 +43,7 @@ class CorpusPair:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a mono PCM16 or float32 WAV; anything else is rejected."""
+    """Read a mono PCM16 or finite float32 WAV; anything else is rejected."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
@@ -59,6 +59,8 @@ def read_wav(path) -> AudioClip:
         samples = data
     else:
         raise DataError(f"{path}: unsupported sample encoding {data.dtype}; need PCM16 or float32")
+    if not np.all(np.isfinite(samples)):
+        raise DataError(f"{path}: non-finite samples (NaN or Inf)")
     return AudioClip(samples=samples, sample_rate=int(rate))
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -63,7 +62,6 @@ def run_bench(
         times = []
         peak = 0
         for _ in range(runs):
-            gc.collect()  # autograd graphs are cyclic; drop them before metering
             meter.reset_peak()
             t0 = time.perf_counter()
             out = manner_forward(x, params, params.config, training=False)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, ModelParams, build_model
+from .model import ModelConfig, ModelParams, build_model, trainable
 
 MAGIC = b"MANNERCK"
 VERSION = 1
@@ -22,13 +22,12 @@ VERSION = 1
 
 def save_checkpoint(path, params: ModelParams, optimizer=None,
                     step: int = 0, epoch: int = 0) -> None:
-    """Write config, every tree tensor, and optionally the Adam state."""
-    tree = params.tree
-    entries = [{"name": n, "shape": list(t.shape)} for n, t in tree.items()]
-    payloads = [t.data for _, t in tree.items()]
+    """Write config, every model tensor, and optionally the Adam state."""
+    entries = [{"name": n, "shape": list(t.shape)} for n, t in params.items()]
+    payloads = [t.data for t in params.values()]
     opt_header = None
     if optimizer is not None:
-        names = [n for n, _ in tree.trainable_items()]
+        names = list(trainable(params))
         opt_header = {
             "beta1": optimizer.beta1,
             "beta2": optimizer.beta2,
@@ -89,10 +88,9 @@ def load_checkpoint(path, dtype=np.float32):
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad model config ({exc})") from exc
         params = build_model(config, seed=0, dtype=dtype)
-        tree = params.tree
 
         entries = header.get("params", [])
-        if [e["name"] for e in entries] != tree.names():
+        if [e["name"] for e in entries] != list(params):
             raise CheckpointError(f"{path}: parameter manifest does not match the architecture")
 
         def read_array(shape, what):
@@ -101,7 +99,7 @@ def load_checkpoint(path, dtype=np.float32):
             return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
         for entry in entries:
-            t = tree[entry["name"]]
+            t = params[entry["name"]]
             shape = tuple(entry["shape"])
             if shape != t.shape:
                 raise CheckpointError(
@@ -116,11 +114,11 @@ def load_checkpoint(path, dtype=np.float32):
 
             optimizer = AdamState(beta1=opt["beta1"], beta2=opt["beta2"],
                                   eps=opt["eps"], t=opt["t"])
-            trainable = dict(tree.trainable_items())
+            slots = trainable(params)
             for name in opt["params"]:
-                if name not in trainable:
+                if name not in slots:
                     raise CheckpointError(f"{path}: optimizer slot {name!r} is not a trainable parameter")
-                shape = trainable[name].shape
+                shape = slots[name].shape
                 optimizer.m[name] = read_array(shape, f"m[{name}]").astype(dtype)
                 optimizer.v[name] = read_array(shape, f"v[{name}]").astype(dtype)
 

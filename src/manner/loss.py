@@ -102,11 +102,6 @@ def stft_magnitude(x: Tensor, cfg: StftConfig) -> Tensor:
     return apply_op(mag, (x,), bwd)
 
 
-def _per_example_axes(x: Tensor) -> tuple[int, ...]:
-    # Magnitudes are [frames, bins] or [B, frames, bins].
-    return (-2, -1)
-
-
 def stft_loss(clean: Tensor, estimate: Tensor, cfg: StftConfig) -> tuple[Tensor, Tensor]:
     """Spectral convergence and log-magnitude L1 at one resolution.
 
@@ -117,7 +112,7 @@ def stft_loss(clean: Tensor, estimate: Tensor, cfg: StftConfig) -> tuple[Tensor,
         raise ValueError(f"shape mismatch: {clean.shape} vs {estimate.shape}")
     m_clean = stft_magnitude(clean, cfg)
     m_est = stft_magnitude(estimate, cfg)
-    axes = _per_example_axes(m_clean)
+    axes = (-2, -1)  # magnitudes are [frames, bins] or [B, frames, bins]
 
     diff = sub(m_clean, m_est)
     num = tsqrt(tsum(mul(diff, diff), axis=axes))

@@ -7,13 +7,12 @@ convolution's output before the final 1-channel projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import MultiViewBlockParams, ma_block
-from .nn import BatchNormParams, ConvParams, batch_norm, conv1d, conv_transpose1d
+from .attention import init_ma_block, ma_block
+from .nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
 from .tensor import Tensor, add, mul, narrow, pad_end, relu, sigmoid, tanh
 
 # ResCon internals fixed across the model family.
@@ -81,257 +80,117 @@ class ModelConfig:
         return cls(**d).validate()
 
 
-class ParameterTree:
-    """Ordered, named map of the model's tensors.
+class ModelParams(dict):
+    """Every model tensor by name, in manifest order, plus the config.
 
-    Trainable parameters have requires_grad set; batch-norm running stats
-    ride along as buffers so checkpoints capture them.
+    `build_model` registers each tensor once, and that one order fixes both
+    the RNG draws and the checkpoint layout. Trainable tensors have
+    requires_grad set; batch-norm running stats ride along as buffers so
+    checkpoints capture them.
     """
 
-    def __init__(self) -> None:
-        self._items: dict[str, Tensor] = {}
-
-    def register(self, name: str, tensor: Tensor) -> None:
-        if name in self._items:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._items[name] = tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._items[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def names(self) -> list[str]:
-        return list(self._items)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._items.items())
-
-    def trainable_items(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self._items.items() if t.requires_grad]
-
-    def num_params(self) -> int:
-        return sum(t.size for _, t in self.trainable_items())
-
-    def zero_grads(self) -> None:
-        for _, t in self.trainable_items():
-            t.grad = None
+    def __init__(self, config: ModelConfig) -> None:
+        super().__init__()
+        self.config = config
 
 
-@dataclass
-class ResConParams:
+def trainable(params) -> dict[str, Tensor]:
+    """The tensors of a name -> Tensor map that take gradients, in order."""
+    return {name: t for name, t in params.items() if t.requires_grad}
+
+
+def num_params(params) -> int:
+    return sum(t.size for t in trainable(params).values())
+
+
+def init_rescon(init: ParamInit, prefix: str, cin: int, cout: int) -> None:
     """Pointwise expand, depthwise mix, pointwise project, conv residual."""
-
-    pw1: ConvParams
-    bn1: BatchNormParams
-    dw: ConvParams
-    bn2: BatchNormParams
-    pw2: ConvParams
-    res: ConvParams
-
-    @classmethod
-    def create(cls, rng, cin: int, cout: int, dtype) -> "ResConParams":
-        mid = cin * RESCON_GROWTH
-        return cls(
-            pw1=ConvParams.create(rng, mid, cin, 1, dtype),
-            bn1=BatchNormParams.create(mid, dtype),
-            dw=ConvParams.create(rng, mid, mid, RESCON_KERNEL, dtype, groups=mid),
-            bn2=BatchNormParams.create(mid, dtype),
-            pw2=ConvParams.create(rng, cout, mid, 1, dtype),
-            res=ConvParams.create(rng, cout, cin, 1, dtype),
-        )
-
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.pw1.named_tensors(f"{prefix}.pw1")
-        yield from self.bn1.named_tensors(f"{prefix}.bn1")
-        yield from self.dw.named_tensors(f"{prefix}.dw")
-        yield from self.bn2.named_tensors(f"{prefix}.bn2")
-        yield from self.pw2.named_tensors(f"{prefix}.pw2")
-        yield from self.res.named_tensors(f"{prefix}.res")
-
-
-@dataclass
-class ConvBlockParams:
-    """Strided (or transposed) conv followed by batch norm."""
-
-    conv: ConvParams
-    bn: BatchNormParams
-
-    @classmethod
-    def create(cls, rng, cin: int, cout: int, kernel: int, dtype, transposed: bool = False) -> "ConvBlockParams":
-        if transposed:
-            conv = ConvParams.create_transpose(rng, cin, cout, kernel, dtype)
-        else:
-            conv = ConvParams.create(rng, cout, cin, kernel, dtype)
-        return cls(conv=conv, bn=BatchNormParams.create(cout, dtype))
-
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.conv.named_tensors(f"{prefix}.conv")
-        yield from self.bn.named_tensors(f"{prefix}.bn")
-
-
-@dataclass
-class EncoderLayerParams:
-    down: ConvBlockParams
-    rescon: ResConParams
-    ma: MultiViewBlockParams | None
-
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.down.named_tensors(f"{prefix}.down")
-        yield from self.rescon.named_tensors(f"{prefix}.rescon")
-        if self.ma is not None:
-            yield from self.ma.named_tensors(f"{prefix}.ma")
-
-
-@dataclass
-class DecoderLayerParams:
-    rescon: ResConParams
-    ma: MultiViewBlockParams | None
-    up: ConvBlockParams
-
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.rescon.named_tensors(f"{prefix}.rescon")
-        if self.ma is not None:
-            yield from self.ma.named_tensors(f"{prefix}.ma")
-        yield from self.up.named_tensors(f"{prefix}.up")
-
-
-@dataclass
-class ModelParams:
-    """Structured parameters; `tree` is the flat named view of the same tensors."""
-
-    config: ModelConfig
-    first_conv: ConvParams
-    first_bn: BatchNormParams
-    enc: list[EncoderLayerParams]
-    bottleneck: ConvParams
-    dec: list[DecoderLayerParams]  # execution order: deepest first
-    mask_a: ConvParams
-    mask_b: ConvParams
-    out_conv: ConvParams
-    _tree: ParameterTree | None = field(default=None, repr=False)
-
-    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.first_conv.named_tensors("first.conv")
-        yield from self.first_bn.named_tensors("first.bn")
-        for i, layer in enumerate(self.enc, 1):
-            yield from layer.named_tensors(f"enc{i}")
-        yield from self.bottleneck.named_tensors("bottleneck")
-        depth = len(self.enc)
-        for i, layer in enumerate(self.dec):
-            yield from layer.named_tensors(f"dec{depth - i}")
-        yield from self.mask_a.named_tensors("mask.a")
-        yield from self.mask_b.named_tensors("mask.b")
-        yield from self.out_conv.named_tensors("out")
-
-    @property
-    def tree(self) -> ParameterTree:
-        if self._tree is None:
-            tree = ParameterTree()
-            for name, tensor in self.named_tensors():
-                tree.register(name, tensor)
-            self._tree = tree
-        return self._tree
-
-
-def _make_ma(rng, config: ModelConfig, channels: int, dtype) -> MultiViewBlockParams:
-    return MultiViewBlockParams.create(
-        rng,
-        channels,
-        config.chunk_size,
-        dtype,
-        use_channel=config.channel_attention,
-        use_global=config.global_attention,
-        use_local=config.local_attention,
-    )
+    mid = cin * RESCON_GROWTH
+    init.conv(f"{prefix}.pw1", mid, cin, 1)
+    init.batch_norm(f"{prefix}.bn1", mid)
+    init.conv(f"{prefix}.dw", mid, mid, RESCON_KERNEL, groups=mid)
+    init.batch_norm(f"{prefix}.bn2", mid)
+    init.conv(f"{prefix}.pw2", cout, mid, 1)
+    init.conv(f"{prefix}.res", cout, cin, 1)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Create a model with fan-in uniform weights; same seed, same bits."""
+    """Create a model with fan-in uniform weights; same seed, same bits.
+
+    Encoder layer i is `enc{i}.down` (strided conv + BN), `enc{i}.rescon`
+    and, where the variant has attention, `enc{i}.ma`; decoder layers are
+    registered deepest first as `dec{i}.rescon`, `dec{i}.ma`, `dec{i}.up`.
+    """
     config.validate()
-    rng = np.random.default_rng(seed)
+    init = ParamInit(ModelParams(config), np.random.default_rng(seed), dtype)
     n = config.base_channels
     k = config.kernel_size
 
-    first_conv = ConvParams.create(rng, n, 1, 1, dtype)
-    first_bn = BatchNormParams.create(n, dtype)
+    def ma(prefix: str, layer: int, channels: int) -> None:
+        if config.has_attention(layer):
+            init_ma_block(init, prefix, channels, config.chunk_size,
+                          use_channel=config.channel_attention,
+                          use_global=config.global_attention,
+                          use_local=config.local_attention)
 
-    enc: list[EncoderLayerParams] = []
+    init.conv("first.conv", n, 1, 1)
+    init.batch_norm("first.bn", n)
     for layer in range(1, config.depth + 1):
         cin = config.encoder_channels(layer - 1)
         cout = config.encoder_channels(layer)
-        enc.append(
-            EncoderLayerParams(
-                down=ConvBlockParams.create(rng, cin, cin, k, dtype),
-                rescon=ResConParams.create(rng, cin, cout, dtype),
-                ma=_make_ma(rng, config, cout, dtype) if config.has_attention(layer) else None,
-            )
-        )
+        init.conv(f"enc{layer}.down.conv", cin, cin, k)
+        init.batch_norm(f"enc{layer}.down.bn", cin)
+        init_rescon(init, f"enc{layer}.rescon", cin, cout)
+        ma(f"enc{layer}.ma", layer, cout)
 
     deep = config.encoder_channels(config.depth)
-    bottleneck = ConvParams.create(rng, deep, deep, 1, dtype)
+    init.conv("bottleneck", deep, deep, 1)
 
-    dec: list[DecoderLayerParams] = []
     for layer in range(config.depth, 0, -1):
         cin = config.encoder_channels(layer)
         cout = config.encoder_channels(layer - 1)
-        dec.append(
-            DecoderLayerParams(
-                rescon=ResConParams.create(rng, cin, cout, dtype),
-                ma=_make_ma(rng, config, cout, dtype) if config.has_attention(layer) else None,
-                up=ConvBlockParams.create(rng, cout, cout, k, dtype, transposed=True),
-            )
-        )
+        init_rescon(init, f"dec{layer}.rescon", cin, cout)
+        ma(f"dec{layer}.ma", layer, cout)
+        init.conv_transpose(f"dec{layer}.up.conv", cout, cout, k)
+        init.batch_norm(f"dec{layer}.up.bn", cout)
 
-    return ModelParams(
-        config=config,
-        first_conv=first_conv,
-        first_bn=first_bn,
-        enc=enc,
-        bottleneck=bottleneck,
-        dec=dec,
-        mask_a=ConvParams.create(rng, n, n, 1, dtype),
-        mask_b=ConvParams.create(rng, n, n, 1, dtype),
-        out_conv=ConvParams.create(rng, 1, n, 1, dtype),
-    )
+    for name, cout in (("mask.a", n), ("mask.b", n), ("out", 1)):
+        init.conv(name, cout, n, 1)
+    return init.params
 
 
-def rescon(x: Tensor, params: ResConParams, training: bool) -> Tensor:
+def _bn_relu(h: Tensor, params, name: str, training: bool) -> Tensor:
+    return relu(batch_norm(h, *batch_norm_tensors(params, name), training))
+
+
+def rescon(x: Tensor, params, prefix: str, training: bool) -> Tensor:
     """Residual conv block; net channel change is cout/cin."""
-    mid = params.pw1.weight.shape[0]
-    h = conv1d(x, params.pw1.weight, params.pw1.bias)
-    h = relu(batch_norm(h, params.bn1.gamma, params.bn1.beta,
-                        params.bn1.running_mean, params.bn1.running_var, training))
-    h = conv1d(h, params.dw.weight, params.dw.bias,
+    mid = params[f"{prefix}.pw1.weight"].shape[0]
+    h = conv1d(x, *conv_tensors(params, f"{prefix}.pw1"))
+    h = _bn_relu(h, params, f"{prefix}.bn1", training)
+    h = conv1d(h, *conv_tensors(params, f"{prefix}.dw"),
                padding=(RESCON_KERNEL - 1) // 2, groups=mid)
-    h = relu(batch_norm(h, params.bn2.gamma, params.bn2.beta,
-                        params.bn2.running_mean, params.bn2.running_var, training))
-    h = conv1d(h, params.pw2.weight, params.pw2.bias)
-    return add(h, conv1d(x, params.res.weight, params.res.bias))
+    h = _bn_relu(h, params, f"{prefix}.bn2", training)
+    h = conv1d(h, *conv_tensors(params, f"{prefix}.pw2"))
+    return add(h, conv1d(x, *conv_tensors(params, f"{prefix}.res")))
 
 
-def down_conv(x: Tensor, params: ConvBlockParams, config: ModelConfig, training: bool) -> Tensor:
-    h = conv1d(x, params.conv.weight, params.conv.bias,
+def down_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool) -> Tensor:
+    h = conv1d(x, *conv_tensors(params, f"{prefix}.conv"),
                stride=config.stride, padding=config.down_padding)
-    return relu(batch_norm(h, params.bn.gamma, params.bn.beta,
-                           params.bn.running_mean, params.bn.running_var, training))
+    return _bn_relu(h, params, f"{prefix}.bn", training)
 
 
-def up_conv(x: Tensor, params: ConvBlockParams, config: ModelConfig, training: bool) -> Tensor:
-    h = conv_transpose1d(x, params.conv.weight, params.conv.bias,
+def up_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool) -> Tensor:
+    h = conv_transpose1d(x, *conv_tensors(params, f"{prefix}.conv"),
                          stride=config.stride, padding=config.down_padding)
-    return relu(batch_norm(h, params.bn.gamma, params.bn.beta,
-                           params.bn.running_mean, params.bn.running_var, training))
+    return _bn_relu(h, params, f"{prefix}.bn", training)
 
 
-def mask_gate(d: Tensor, params: ModelParams) -> Tensor:
+def mask_gate(d: Tensor, params) -> Tensor:
     """m = relu(sigmoid(conv_a(d)) * tanh(conv_b(d))), in [0, 1)."""
-    a = sigmoid(conv1d(d, params.mask_a.weight, params.mask_a.bias))
-    b = tanh(conv1d(d, params.mask_b.weight, params.mask_b.bias))
+    a = sigmoid(conv1d(d, *conv_tensors(params, "mask.a")))
+    b = tanh(conv1d(d, *conv_tensors(params, "mask.b")))
     return relu(mul(a, b))
 
 
@@ -351,29 +210,27 @@ def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
     block = config.stride ** config.depth
     x = pad_end(noisy, (-t_raw) % block)
 
-    x0 = relu(batch_norm(conv1d(x, params.first_conv.weight, params.first_conv.bias),
-                         params.first_bn.gamma, params.first_bn.beta,
-                         params.first_bn.running_mean, params.first_bn.running_var,
-                         training))  # B x N x Tp
+    x0 = _bn_relu(conv1d(x, *conv_tensors(params, "first.conv")),
+                  params, "first.bn", training)  # B x N x Tp
 
     h = x0
     skips: list[Tensor] = []
-    for layer in params.enc:
-        h = down_conv(h, layer.down, config, training)
-        h = rescon(h, layer.rescon, training)
-        if layer.ma is not None:
-            h = ma_block(h, layer.ma, config.chunk_size)
+    for layer in range(1, config.depth + 1):
+        h = down_conv(h, params, f"enc{layer}.down", config, training)
+        h = rescon(h, params, f"enc{layer}.rescon", training)
+        if config.has_attention(layer):
+            h = ma_block(h, params, f"enc{layer}.ma", config.chunk_size)
         skips.append(h)
 
-    h = conv1d(h, params.bottleneck.weight, params.bottleneck.bias)
+    h = conv1d(h, *conv_tensors(params, "bottleneck"))
 
-    for layer, skip in zip(params.dec, reversed(skips)):
-        h = add(h, skip)
-        h = rescon(h, layer.rescon, training)
-        if layer.ma is not None:
-            h = ma_block(h, layer.ma, config.chunk_size)
-        h = up_conv(h, layer.up, config, training)
+    for layer in range(config.depth, 0, -1):
+        h = add(h, skips[layer - 1])
+        h = rescon(h, params, f"dec{layer}.rescon", training)
+        if config.has_attention(layer):
+            h = ma_block(h, params, f"dec{layer}.ma", config.chunk_size)
+        h = up_conv(h, params, f"dec{layer}.up", config, training)
 
     masked = mul(mask_gate(h, params), x0)
-    y = conv1d(masked, params.out_conv.weight, params.out_conv.bias)
+    y = conv1d(masked, *conv_tensors(params, "out"))
     return narrow(y, 0, t_raw)

@@ -6,66 +6,59 @@ Layouts follow the [batch, channels, time] convention; conv weights are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .tensor import Tensor, apply_op
 
-
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> Tensor:
-    """Fan-in scaled uniform weight, the usual U(-1/sqrt(fan_in), +)."""
-    bound = 1.0 / np.sqrt(fan_in)
-    data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data.astype(dtype), requires_grad=True)
+BATCH_NORM_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
 
-@dataclass
-class ConvParams:
-    """Weight/bias pair for conv1d or conv_transpose1d."""
+class ParamInit:
+    """Registers named tensors into one ordered name -> Tensor map.
 
-    weight: Tensor
-    bias: Tensor
+    Weights are drawn fan-in uniform, U(-1/sqrt(fan_in), +), at the moment
+    they are registered, so one sequence of calls fixes both the RNG draws
+    and the order of the map (and with it a checkpoint's layout). Biases
+    start at zero; batch-norm running stats are buffers without gradients.
+    """
 
-    @classmethod
-    def create(cls, rng, cout: int, cin: int, kernel: int, dtype, groups: int = 1) -> "ConvParams":
-        w = uniform_init(rng, (cout, cin // groups, kernel), (cin // groups) * kernel, dtype)
-        b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-        return cls(weight=w, bias=b)
+    def __init__(self, params: dict, rng: np.random.Generator, dtype) -> None:
+        self.params = params
+        self.rng = rng
+        self.dtype = dtype
 
-    @classmethod
-    def create_transpose(cls, rng, cin: int, cout: int, kernel: int, dtype) -> "ConvParams":
-        w = uniform_init(rng, (cin, cout, kernel), cin * kernel, dtype)
-        b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-        return cls(weight=w, bias=b)
+    def _add(self, name: str, data: np.ndarray, trainable: bool) -> None:
+        if name in self.params:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        self.params[name] = Tensor(data.astype(self.dtype), requires_grad=trainable)
 
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+    def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        bound = 1.0 / np.sqrt(fan_in)
+        self._add(name, self.rng.uniform(-bound, bound, size=shape), True)
+
+    def conv(self, name: str, cout: int, cin: int, kernel: int, groups: int = 1) -> None:
+        """`name.weight` [Cout, Cin/groups, K] and `name.bias` for conv1d."""
+        self.weight(f"{name}.weight", (cout, cin // groups, kernel), (cin // groups) * kernel)
+        self._add(f"{name}.bias", np.zeros(cout), True)
+
+    def conv_transpose(self, name: str, cin: int, cout: int, kernel: int) -> None:
+        """`name.weight` [Cin, Cout, K] and `name.bias` for conv_transpose1d."""
+        self.weight(f"{name}.weight", (cin, cout, kernel), cin * kernel)
+        self._add(f"{name}.bias", np.zeros(cout), True)
+
+    def batch_norm(self, name: str, channels: int) -> None:
+        for field, fill in zip(BATCH_NORM_FIELDS, (1.0, 0.0, 0.0, 1.0)):
+            self._add(f"{name}.{field}", np.full(channels, fill), field in ("gamma", "beta"))
 
 
-@dataclass
-class BatchNormParams:
-    gamma: Tensor
-    beta: Tensor
-    running_mean: Tensor  # buffer, not trainable
-    running_var: Tensor  # buffer, not trainable
+def conv_tensors(params, name: str) -> tuple[Tensor, Tensor]:
+    """(weight, bias) registered under `name`."""
+    return params[f"{name}.weight"], params[f"{name}.bias"]
 
-    @classmethod
-    def create(cls, channels: int, dtype) -> "BatchNormParams":
-        return cls(
-            gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-            beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-            running_mean=Tensor(np.zeros(channels, dtype=dtype)),
-            running_var=Tensor(np.ones(channels, dtype=dtype)),
-        )
 
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var
+def batch_norm_tensors(params, name: str) -> tuple[Tensor, ...]:
+    """(gamma, beta, running_mean, running_var) registered under `name`."""
+    return tuple(params[f"{name}.{field}"] for field in BATCH_NORM_FIELDS)
 
 
 def conv_out_length(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -117,7 +110,8 @@ def conv1d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """Cross-correlation over the last axis of a [B, Cin, T] tensor."""
+    """Dense, or depthwise (groups == Cin == Cout), cross-correlation over
+    the last axis of a [B, Cin, T] tensor."""
     if x.ndim != 3:
         raise ValueError(f"conv1d input must be [B, Cin, T], got {x.shape}")
     if weight.ndim != 3:
@@ -126,8 +120,9 @@ def conv1d(
     cout, cin_g, kw = weight.shape
     if stride < 1 or padding < 0 or groups < 1:
         raise ValueError("conv1d needs stride >= 1, padding >= 0, groups >= 1")
-    if cin % groups or cout % groups:
-        raise ValueError(f"channels ({cin} -> {cout}) not divisible by groups {groups}")
+    if groups not in (1, cin) or (groups > 1 and cout != cin):
+        raise ValueError(f"conv1d is dense (groups=1) or depthwise (groups=Cin=Cout), "
+                         f"got groups={groups} for {cin} -> {cout} channels")
     if cin_g != cin // groups:
         raise ValueError(f"weight expects {cin_g * groups} input channels, input has {cin}")
     if bias is not None and bias.shape != (cout,):
@@ -136,22 +131,15 @@ def conv1d(
     if tout < 1:
         raise ValueError(f"conv1d output length {tout} < 1 (T={t}, K={kw}, S={stride}, P={padding})")
 
-    oc = cout // groups
     xp = _pad_time(x.data, padding)
     tp = xp.shape[-1]
     wd = weight.data
-    depthwise = groups > 1 and cin_g == 1 and oc == 1
     if groups == 1:
         cols = _time_windows(xp, kw, stride, tout).reshape(b, cin * kw, tout)
         out = np.matmul(wd.reshape(cout, cin * kw), cols)
-    elif depthwise:
+    else:
         win = np.swapaxes(_time_windows(xp, kw, stride, tout), -1, -2)  # [B,C,Tout,K]
         out = np.einsum("bctk,ck->bct", win, wd[:, 0], optimize=True)
-    else:
-        xg = xp.reshape(b, groups, cin_g, tp)
-        cols = _time_windows(xg, kw, stride, tout)
-        wg = wd.reshape(groups, oc, cin_g, kw)
-        out = np.einsum("bgckt,gock->bgot", cols, wg, optimize=True).reshape(b, cout, tout)
     if bias is not None:
         out = out + bias.data[None, :, None]
 
@@ -163,31 +151,21 @@ def conv1d(
             if groups == 1:
                 y = np.matmul(wd.reshape(cout, cin * kw).T, g).reshape(b, cin, kw, tout)
                 gxp = _scatter_windows(y, stride, tp)
-            elif depthwise:
+            else:
                 # per-tap slice-add; avoids a [B,C,K,T] temp K times the input
                 gxp = np.zeros((b, cin, tp), dtype=g.dtype)
                 span = (tout - 1) * stride + 1
                 for k in range(kw):
                     gxp[..., k : k + span : stride] += g * wd[None, :, 0, k : k + 1]
-            else:
-                wg = wd.reshape(groups, oc, cin_g, kw)
-                y = np.einsum("bgot,gock->bgckt", g.reshape(b, groups, oc, tout), wg, optimize=True)
-                gxp = _scatter_windows(y, stride, tp).reshape(b, cin, tp)
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
             if groups == 1:
                 cols4 = _time_windows(xp, kw, stride, tout)
                 gw = np.einsum("bot,bckt->ock", g, cols4, optimize=True)
-            elif depthwise:
+            else:
                 win4 = np.swapaxes(_time_windows(xp, kw, stride, tout), -1, -2)
                 gw = np.einsum("bct,bctk->ck", g, win4, optimize=True)[:, None, :]
-            else:
-                xg = xp.reshape(b, groups, cin_g, tp)
-                cols5 = _time_windows(xg, kw, stride, tout)
-                gw = np.einsum(
-                    "bgot,bgckt->gock", g.reshape(b, groups, oc, tout), cols5, optimize=True
-                ).reshape(cout, cin_g, kw)
         gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 

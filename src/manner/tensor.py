@@ -9,6 +9,7 @@ op explicitly accepts.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ class Tensor:
     by the optimizer or a checkpoint load.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_counted", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_counted", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self._counted = 0
@@ -64,7 +65,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.node: Node | None = None
+        self._node: weakref.ref | None = None
         if arr.base is None:
             self._counted = arr.nbytes
             meter.add(self._counted)
@@ -75,6 +76,20 @@ class Tensor:
             meter.release(counted)
 
     # -- introspection -------------------------------------------------
+
+    @property
+    def from_op(self) -> bool:
+        """True once a taped op produced this tensor."""
+        return self._node is not None
+
+    @property
+    def node(self) -> "Node | None":
+        """The tape node that produced this tensor, while its tape lives.
+
+        The link is weak: only the tape holds nodes, so dropping the tape
+        frees a step's graph by refcount, without the cyclic collector.
+        """
+        return self._node() if self._node is not None else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,7 +163,7 @@ class Tensor:
 class Node:
     """One recorded primitive application."""
 
-    __slots__ = ("inputs", "output", "backward_fn", "needs")
+    __slots__ = ("inputs", "output", "backward_fn", "needs", "__weakref__")
 
     def __init__(self, inputs, output, backward_fn, needs):
         self.inputs = inputs
@@ -202,12 +217,12 @@ def apply_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data, requires_grad=requires)
     tape = active_tape()
     if tape is not None and requires:
-        needs = tuple(t.requires_grad or t.node is not None for t in inputs)
+        needs = tuple(t.requires_grad or t.from_op for t in inputs)
         node = Node(tuple(inputs), out, backward_fn, needs)
-        out.node = node
+        out._node = weakref.ref(node)
         tape._nodes.append(node)
         for t in inputs:
-            if t.requires_grad and t.node is None:
+            if t.requires_grad and not t.from_op:
                 tape._leaves.setdefault(id(t), t)
     return out
 
@@ -243,10 +258,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------
 # helpers
-
-
-def constant(value, dtype=None) -> Tensor:
-    return Tensor(np.asarray(value, dtype=dtype or DEFAULT_DTYPE))
 
 
 def constant_like(value, ref: Tensor) -> Tensor:
@@ -487,15 +498,6 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         return (mask * gg,)
 
     return apply_op(out, (a,), bwd)
-
-
-def pool(kind: str, a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Average or max pooling over one axis."""
-    if kind == "avg":
-        return tmean(a, axis, keepdims)
-    if kind == "max":
-        return tmax(a, axis, keepdims)
-    raise ValueError(f"unknown pool kind {kind!r}")
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .audio import CorpusPair, ensure_rate, num_segments, segment, tempo_perturb
 from .checkpoint import save_checkpoint
 from .errors import TrainingDiverged
 from .loss import LossReport, StftConfig, default_resolutions, weighted_total_loss
-from .model import ModelParams, ParameterTree, manner_forward
+from .model import ModelParams, manner_forward, trainable
 from .tensor import Tape, Tensor, backward, reshape
 
 log = logging.getLogger(__name__)
@@ -81,22 +81,27 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(tree: ParameterTree, beta1: float = 0.9, beta2: float = 0.999,
+def init_adam(params, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
     state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
-    for name, t in tree.trainable_items():
+    for name, t in trainable(params).items():
         state.m[name] = np.zeros_like(t.data)
         state.v[name] = np.zeros_like(t.data)
     return state
 
 
-def adam_step(tree: ParameterTree, grads: dict[str, np.ndarray],
+def zero_grads(params) -> None:
+    for t in trainable(params).values():
+        t.grad = None
+
+
+def adam_step(params, grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place on the tree's tensors."""
+    """Bias-corrected Adam update, in place on the map's trainable tensors."""
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in tree.trainable_items():
+    for name, p in trainable(params).items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
@@ -223,8 +228,7 @@ def train(
         steps_per_epoch=steps_per_epoch,
     ).validate()
 
-    tree = params.tree
-    state = adam_state if adam_state is not None else init_adam(tree)
+    state = adam_state if adam_state is not None else init_adam(params)
 
     out_path = Path(out_dir) if out_dir is not None else None
     log_file = None
@@ -266,10 +270,10 @@ def train(
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} at step {state.t + 1}")
-                tree.zero_grads()
+                zero_grads(params)
                 backward(tape, loss)
-                grads = {n: t.grad for n, t in tree.trainable_items()}
-                adam_step(tree, grads, state, lr)
+                grads = {n: t.grad for n, t in trainable(params).items()}
+                adam_step(params, grads, state, lr)
 
                 losses.append(value)
                 emit(report.log_line(step=state.t, epoch=epoch + 1, lr=lr))

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from manner.attention import (
-    ChannelAttentionParams,
-    GlobalAttentionParams,
-    LocalAttentionParams,
-    MultiViewBlockParams,
     channel_attention,
     global_attention,
+    init_channel_attention,
+    init_global_attention,
+    init_local_attention,
+    init_ma_block,
     local_attention,
     ma_block,
 )
@@ -29,9 +29,17 @@ from manner.chunker import ChunkedView, chunk, merge
 from manner.config import parse_run_config
 from manner.loss import StftConfig, hann_window, stft_loss, stft_magnitude, weighted_total_loss
 from manner.metrics import si_snr
-from manner.model import ModelConfig, build_model, down_conv, manner_forward, mask_gate, rescon
-from manner.model import ResConParams
-from manner.nn import batch_norm, conv1d, conv_transpose1d
+from manner.model import (
+    ModelConfig,
+    build_model,
+    down_conv,
+    init_rescon,
+    manner_forward,
+    mask_gate,
+    num_params,
+    rescon,
+)
+from manner.nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
 from manner.tensor import Tensor, finite_diff_check, mul, relu, tsum
 from manner.trainer import TrainSettings, train
 
@@ -51,8 +59,11 @@ def _wake_kinks(tensors, rng):
             t.data += rng.uniform(0.05, 0.15, size=t.shape).astype(t.dtype)
 
 
-def _trainables(params, prefix="p"):
-    return [t for _, t in params.named_tensors(prefix) if t.requires_grad]
+def _block(init_fn, rng, dtype, *args):
+    """Register one block's tensors under "p"; return (trainable ones, whole map)."""
+    init = ParamInit({}, rng, dtype)
+    init_fn(init, "p", *args)
+    return [t for t in init.params.values() if t.requires_grad], init.params
 
 
 def _view(x):
@@ -123,53 +134,52 @@ def _gradcheck_cases(dtype):
                   [xb, gamma, beta], None, None))
 
     rng = make_rng(13)
-    ca = ChannelAttentionParams.create(rng, 4, dtype)
+    ca, _ = _block(init_channel_attention, rng, dtype, 4)
     xc = Tensor(rng.standard_normal((2, 4, 10)).astype(dtype), requires_grad=True)
     cases.append(("channel attention",
-                  lambda *_: _sq(channel_attention(xc, ca)),
-                  [xc, ca.w0, ca.w1], None, None))
+                  lambda *_: _sq(channel_attention(xc, *ca)),
+                  [xc] + ca, None, None))
 
     rng = make_rng(14)
-    ga = GlobalAttentionParams.create(rng, 8, dtype)
+    ga, _ = _block(init_global_attention, rng, dtype, 8)
     vg = _view(rng.standard_normal((1, 3, 4, 8)).astype(dtype))
     cases.append(("global attention",
-                  lambda *_: _sq(global_attention(vg, ga).data),
-                  [vg.data, ga.wq, ga.wk, ga.wv, ga.wout], None, None))
+                  lambda *_: _sq(global_attention(vg, *ga).data),
+                  [vg.data] + ga, None, None))
 
     rng = make_rng(LOCAL_SEED)
-    la = LocalAttentionParams.create(rng, 4, 8, dtype)
-    _wake_kinks(_trainables(la), rng)
+    la, _ = _block(init_local_attention, rng, dtype, 4, 8)
+    _wake_kinks(la, rng)
     vl = _view(rng.standard_normal((1, 4, 3, 8)).astype(dtype))
     cases.append(("local attention",
-                  lambda *_: _sq(local_attention(vl, la).data),
-                  [vl.data] + _trainables(la), None,
+                  lambda *_: _sq(local_attention(vl, *la).data),
+                  [vl.data] + la, None,
                   LOCAL_EPS32 if f32 else None))
 
     rng = make_rng(MA_SEED)
-    mv = MultiViewBlockParams.create(rng, 6, 8, dtype)
-    _wake_kinks(_trainables(mv), rng)
+    mv, mv_params = _block(init_ma_block, rng, dtype, 6, 8)
+    _wake_kinks(mv, rng)
     xm = Tensor(rng.standard_normal((1, 6, 16)).astype(dtype), requires_grad=True)
     cases.append(("ma_block",
-                  lambda *_: _sq(ma_block(xm, mv, 8)),
-                  [xm] + _trainables(mv), 4, MA_EPS32 if f32 else None))
+                  lambda *_: _sq(ma_block(xm, mv_params, "p", 8)),
+                  [xm] + mv, 4, MA_EPS32 if f32 else None))
 
     rng = make_rng(RESCON_SEED)
-    rc = ResConParams.create(rng, 4, 8, dtype)
-    _wake_kinks(_trainables(rc), rng)
+    rc, rc_params = _block(init_rescon, rng, dtype, 4, 8)
+    _wake_kinks(rc, rng)
     xr = Tensor(rng.standard_normal((1, 4, 12)).astype(dtype), requires_grad=True)
     cases.append(("rescon",
-                  lambda *_: _sq(rescon(xr, rc, True)),
-                  [xr] + _trainables(rc), 6, RESCON_EPS32 if f32 else None))
+                  lambda *_: _sq(rescon(xr, rc_params, "p", True)),
+                  [xr] + rc, 6, RESCON_EPS32 if f32 else None))
 
     rng = make_rng(MASK_SEED)
     toy = build_model(ModelConfig(base_channels=6, depth=2, chunk_size=8),
                       seed=0, dtype=dtype)
-    _wake_kinks([toy.mask_a.bias, toy.mask_b.bias], rng)
+    _wake_kinks([toy["mask.a.bias"], toy["mask.b.bias"]], rng)
     d = Tensor(rng.standard_normal((1, 6, 16)).astype(dtype), requires_grad=True)
     cases.append(("mask_gate",
                   lambda *_: _sq(mask_gate(d, toy)),
-                  [d, toy.mask_a.weight, toy.mask_a.bias,
-                   toy.mask_b.weight, toy.mask_b.bias], None,
+                  [d, *conv_tensors(toy, "mask.a"), *conv_tensors(toy, "mask.b")], None,
                   MASK_EPS32 if f32 else None))
 
     cfg = StftConfig(64, 16, 32)
@@ -230,19 +240,15 @@ def test_default_config_shapes():
     rng = np.random.default_rng(0)
     x = Tensor(0.1 * rng.standard_normal((1, 1, 64000)).astype(np.float32))
 
-    x0 = relu(batch_norm(conv1d(x, params.first_conv.weight, params.first_conv.bias),
-                         params.first_bn.gamma, params.first_bn.beta,
-                         params.first_bn.running_mean, params.first_bn.running_var,
-                         False))
+    x0 = relu(batch_norm(conv1d(x, *conv_tensors(params, "first.conv")),
+                         *batch_norm_tensors(params, "first.bn"), False))
     assert x0.shape == (1, 60, 64000)
     h = x0
-    for layer, (ch, t) in zip(params.enc, ((120, 16000), (240, 4000),
-                                           (480, 1000), (960, 250))):
-        h = down_conv(h, layer.down, cfg, training=False)
+    for layer, (ch, t) in enumerate(((120, 16000), (240, 4000), (480, 1000), (960, 250)), 1):
+        h = down_conv(h, params, f"enc{layer}.down", cfg, training=False)
         assert h.shape[-1] == t
-        h = rescon(h, layer.rescon, False)
-        if layer.ma is not None:
-            h = ma_block(h, layer.ma, cfg.chunk_size)
+        h = rescon(h, params, f"enc{layer}.rescon", False)
+        h = ma_block(h, params, f"enc{layer}.ma", cfg.chunk_size)
         assert h.shape == (1, ch, t)
 
     assert manner_forward(x, params, cfg, training=False).shape == (1, 1, 64000)
@@ -389,7 +395,7 @@ def test_seed_determinism_and_resume(tmp_path):
 
     full_params, _, _, _ = load_checkpoint(tmp_path / "a" / "last.ckpt")
     res_params, _, _, _ = load_checkpoint(tmp_path / "c" / "last.ckpt")
-    for (name, a), (_, b) in zip(full_params.tree.items(), res_params.tree.items()):
+    for (name, a), (_, b) in zip(full_params.items(), res_params.items()):
         assert np.array_equal(a.data, b.data), name
 
 
@@ -413,11 +419,8 @@ def test_ablation_switches(tmp_path):
         cfg = parse_run_config(path)
         return cfg, build_model(cfg.model, seed=0)
 
-    def count(params):
-        return sum(t.size for _, t in params.tree.trainable_items())
-
     cfg, base = build_from("")
-    base_count = count(base)
+    base_count = num_params(base)
     widths = [cfg.model.encoder_channels(i) for i in range(1, cfg.model.depth + 1)]
     widths += [cfg.model.encoder_channels(i - 1) for i in range(1, cfg.model.depth + 1)]
     thirds = [w // 3 for w in widths]
@@ -430,13 +433,13 @@ def test_ablation_switches(tmp_path):
 
     for switch, drop in expected_drop.items():
         ablated_cfg, ablated = build_from(model_extra=f"{switch} = no\n")
-        assert base_count - count(ablated) == drop, switch
+        assert base_count - num_params(ablated) == drop, switch
         result = train(ablated, corpus, ablated_cfg.trainer,
                        resolutions=ablated_cfg.resolutions)
         assert result.steps == 1 and math.isfinite(result.train_losses[0])
 
     plain_cfg, plain = build_from(trainer_extra="weighted_loss = no\n")
-    assert count(plain) == base_count
+    assert num_params(plain) == base_count
     result = train(plain, corpus, plain_cfg.trainer, resolutions=plain_cfg.resolutions)
     assert result.steps == 1
     assert result.log_lines[0].endswith("alpha=1")

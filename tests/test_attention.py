@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from manner.attention import (
-    ChannelAttentionParams,
-    GlobalAttentionParams,
-    LocalAttentionParams,
-    MultiViewBlockParams,
     channel_attention,
     global_attention,
+    init_channel_attention,
+    init_global_attention,
+    init_local_attention,
+    init_ma_block,
     local_attention,
     local_kernel_size,
     ma_block,
 )
 from manner.chunker import ChunkedView, chunk
-from manner.nn import ConvParams
+from manner.nn import ParamInit
 from manner.tensor import Tensor, finite_diff_check, tsum
 
 # ---------------------------------------------------------------------
@@ -84,6 +84,18 @@ def local_attention_loops(x, dw_w, dw_b, fuse_w, fuse_b):
     return out
 
 
+def registered(init_fn, rng, *args, dtype=np.float64, **kwargs):
+    """The name -> Tensor map one init function registers under "b"."""
+    init = ParamInit({}, rng, dtype)
+    init_fn(init, "b", *args, **kwargs)
+    return init.params
+
+
+def weights(init_fn, rng, *args):
+    """A view's weight tensors, in the order the view takes them."""
+    return list(registered(init_fn, rng, *args).values())
+
+
 def make_view(x):
     """Wrap a [B, Ch, P, C] array without going through chunk()."""
     p, c = x.shape[-2], x.shape[-1]
@@ -100,8 +112,7 @@ def test_channel_attention_zero_weights_halves():
     """Zero squeeze weights give alpha = sigmoid(0) = 0.5 everywhere."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 4, 9))
-    params = ChannelAttentionParams(w0=Tensor(np.zeros((4, 2))), w1=Tensor(np.zeros((2, 4))))
-    out = channel_attention(Tensor(x), params)
+    out = channel_attention(Tensor(x), Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 4))))
     np.testing.assert_allclose(out.data, 0.5 * x, rtol=1e-12)
 
 
@@ -112,11 +123,9 @@ def test_channel_attention_hand_case():
     gives pre-activations [1.5, 3.0] and weights [sigm(1.5), sigm(3.0)].
     """
     x = np.array([[[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]]])
-    params = ChannelAttentionParams(
-        w0=Tensor(np.array([[0.5], [-1.0]])),
-        w1=Tensor(np.array([[1.0, 2.0]])),
-    )
-    out = channel_attention(Tensor(x), params)
+    w0 = Tensor(np.array([[0.5], [-1.0]]))
+    w1 = Tensor(np.array([[1.0, 2.0]]))
+    out = channel_attention(Tensor(x), w0, w1)
     a0, a1 = 0.8175744761936437, 0.9525741268224334
     expected = np.array([[[a0, 2 * a0, 3 * a0], [-a1, 0.0, a1]]])
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -126,8 +135,7 @@ def test_channel_attention_scales_each_channel_uniformly():
     """Output/input ratio is one constant in (0, 1) per channel."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 6, 20)) + 0.5
-    params = ChannelAttentionParams.create(rng, 6, np.float64)
-    out = channel_attention(Tensor(x), params).data
+    out = channel_attention(Tensor(x), *weights(init_channel_attention, rng, 6)).data
     ratio = out / x
     for n in range(3):
         for cc in range(6):
@@ -140,28 +148,27 @@ def test_channel_attention_scales_each_channel_uniformly():
 def test_channel_attention_matches_loops(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 8, 13))
-    params = ChannelAttentionParams.create(rng, 8, np.float64)
-    out = channel_attention(Tensor(x), params)
-    expected = channel_attention_loops(x, params.w0.data, params.w1.data)
+    w0, w1 = weights(init_channel_attention, rng, 8)
+    out = channel_attention(Tensor(x), w0, w1)
+    expected = channel_attention_loops(x, w0.data, w1.data)
     np.testing.assert_allclose(out.data, expected, rtol=1e-10)
 
 
 def test_channel_attention_gradcheck():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((1, 4, 7)), requires_grad=True)
-    params = ChannelAttentionParams.create(rng, 4, np.float64)
     err = finite_diff_check(
-        lambda xv, w0, w1: tsum(channel_attention(xv, ChannelAttentionParams(w0, w1))),
-        [x, params.w0, params.w1],
+        lambda *t: tsum(channel_attention(*t)),
+        [x] + weights(init_channel_attention, rng, 4),
     )
     assert err < 1e-6
 
 
 def test_channel_attention_rejects_bad_rank_and_width():
     with pytest.raises(ValueError):
-        channel_attention(Tensor(np.zeros((4, 7))), ChannelAttentionParams(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 4)))))
+        channel_attention(Tensor(np.zeros((4, 7))), Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 4))))
     with pytest.raises(ValueError):
-        ChannelAttentionParams.create(np.random.default_rng(0), 5, np.float64)
+        weights(init_channel_attention, np.random.default_rng(0), 5)
 
 
 # ---------------------------------------------------------------------
@@ -172,9 +179,9 @@ def test_global_attention_single_chunk_is_value_path():
     """P = 1 makes softmax trivial: out = (x Wv) Wout, Q and K are moot."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 1, 8))
-    params = GlobalAttentionParams.create(rng, 8, np.float64)
-    out = global_attention(make_view(x), params).data.data
-    expected = (x @ params.wv.data) @ params.wout.data
+    wq, wk, wv, wout = weights(init_global_attention, rng, 8)
+    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    expected = (x @ wv.data) @ wout.data
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
 
@@ -182,11 +189,11 @@ def test_global_attention_zero_keys_average_uniformly():
     """Wk = 0 flattens all scores, so every chunk sees the mean value."""
     rng = np.random.default_rng(4)
     x = rng.standard_normal((1, 2, 5, 8))
-    params = GlobalAttentionParams.create(rng, 8, np.float64)
-    params.wk.data[:] = 0.0
-    out = global_attention(make_view(x), params).data.data
-    v = x @ params.wv.data
-    expected = np.broadcast_to(v.mean(axis=2, keepdims=True) @ params.wout.data, out.shape)
+    wq, wk, wv, wout = weights(init_global_attention, rng, 8)
+    wk.data[:] = 0.0
+    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    v = x @ wv.data
+    expected = np.broadcast_to(v.mean(axis=2, keepdims=True) @ wout.data, out.shape)
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
 
@@ -195,9 +202,9 @@ def test_global_attention_identical_chunks_stay_identical():
     rng = np.random.default_rng(5)
     one = rng.standard_normal((2, 3, 1, 8))
     x = np.repeat(one, 4, axis=2)
-    params = GlobalAttentionParams.create(rng, 8, np.float64)
-    out = global_attention(make_view(x), params).data.data
-    single = (one @ params.wv.data) @ params.wout.data
+    wq, wk, wv, wout = weights(init_global_attention, rng, 8)
+    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    single = (one @ wv.data) @ wout.data
     for i in range(4):
         np.testing.assert_allclose(out[:, :, i : i + 1, :], single, rtol=1e-10)
 
@@ -206,11 +213,9 @@ def test_global_attention_identical_chunks_stay_identical():
 def test_global_attention_matches_loops(seed, p):
     rng = np.random.default_rng(seed + 40)
     x = rng.standard_normal((2, 2, p, 8))
-    params = GlobalAttentionParams.create(rng, 8, np.float64)
-    out = global_attention(make_view(x), params)
-    expected = global_attention_loops(
-        x, params.wq.data, params.wk.data, params.wv.data, params.wout.data
-    )
+    ws = weights(init_global_attention, rng, 8)
+    out = global_attention(make_view(x), *ws)
+    expected = global_attention_loops(x, *(w.data for w in ws))
     np.testing.assert_allclose(out.data.data, expected, rtol=1e-9)
     assert out.original_length == make_view(x).original_length
 
@@ -218,14 +223,14 @@ def test_global_attention_matches_loops(seed, p):
 def test_global_attention_gradcheck():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, 2, 3, 4))
-    params = GlobalAttentionParams.create(rng, 4, np.float64)
+    ws = weights(init_global_attention, rng, 4)
     view = make_view(x)
 
-    def f(xv, wq, wk, wv, wout):
+    def f(xv, *w):
         v = ChunkedView(xv, view.original_length, view.chunk_size, view.hop)
-        return tsum(global_attention(v, GlobalAttentionParams(wq, wk, wv, wout)).data)
+        return tsum(global_attention(v, *w).data)
 
-    err = finite_diff_check(f, [view.data, params.wq, params.wk, params.wv, params.wout])
+    err = finite_diff_check(f, [view.data] + ws)
     assert err < 1e-6
 
 
@@ -241,7 +246,7 @@ def test_local_kernel_size_frozen(c, k):
 @pytest.mark.parametrize("c", [2, 6, 10])
 def test_local_attention_rejects_even_kernel_chunks(c):
     with pytest.raises(ValueError):
-        LocalAttentionParams.create(np.random.default_rng(0), 4, c, np.float64)
+        weights(init_local_attention, np.random.default_rng(0), 4, c)
 
 
 def test_local_attention_delta_kernel_hand_case():
@@ -257,11 +262,8 @@ def test_local_attention_delta_kernel_hand_case():
     dw_w[:, 0, 1] = 1.0
     fuse_w = np.zeros((1, 2, 7))
     fuse_w[0, 0, 3] = 1.0
-    params = LocalAttentionParams(
-        dw=ConvParams(weight=Tensor(dw_w), bias=Tensor(np.zeros(2))),
-        fuse=ConvParams(weight=Tensor(fuse_w), bias=Tensor(np.zeros(1))),
-    )
-    out = local_attention(make_view(x), params).data.data
+    out = local_attention(make_view(x), Tensor(dw_w), Tensor(np.zeros(2)),
+                          Tensor(fuse_w), Tensor(np.zeros(1))).data.data
     gate = sigmoid_np(x.mean(axis=1, keepdims=True))
     np.testing.assert_allclose(out, x * gate, rtol=1e-12)
 
@@ -270,12 +272,9 @@ def test_local_attention_delta_kernel_hand_case():
 def test_local_attention_matches_loops(seed, p):
     rng = np.random.default_rng(seed + 70)
     x = rng.standard_normal((2, 2, p, 8))
-    params = LocalAttentionParams.create(rng, 2, 8, np.float64)
-    out = local_attention(make_view(x), params)
-    expected = local_attention_loops(
-        x, params.dw.weight.data, params.dw.bias.data,
-        params.fuse.weight.data, params.fuse.bias.data,
-    )
+    ws = weights(init_local_attention, rng, 2, 8)
+    out = local_attention(make_view(x), *ws)
+    expected = local_attention_loops(x, *(w.data for w in ws))
     np.testing.assert_allclose(out.data.data, expected, rtol=1e-10)
 
 
@@ -283,8 +282,7 @@ def test_local_attention_gate_shrinks_magnitudes():
     """The sigmoid gate lies in (0, 1), so it can only shrink samples."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 4, 3, 8))
-    params = LocalAttentionParams.create(rng, 4, 8, np.float64)
-    out = local_attention(make_view(x), params).data.data
+    out = local_attention(make_view(x), *weights(init_local_attention, rng, 4, 8)).data.data
     assert np.all(np.abs(out) < np.abs(x) + 1e-15)
     assert np.all(np.sign(out) == np.sign(x))
 
@@ -292,19 +290,14 @@ def test_local_attention_gate_shrinks_magnitudes():
 def test_local_attention_gradcheck():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 2, 2, 8))
-    params = LocalAttentionParams.create(rng, 2, 8, np.float64)
+    ws = weights(init_local_attention, rng, 2, 8)
     view = make_view(x)
 
-    def f(xv, dw_w, dw_b, f_w, f_b):
-        p = LocalAttentionParams(dw=ConvParams(dw_w, dw_b), fuse=ConvParams(f_w, f_b))
+    def f(xv, *w):
         v = ChunkedView(xv, view.original_length, view.chunk_size, view.hop)
-        return tsum(local_attention(v, p).data)
+        return tsum(local_attention(v, *w).data)
 
-    err = finite_diff_check(
-        f,
-        [view.data, params.dw.weight, params.dw.bias,
-         params.fuse.weight, params.fuse.bias],
-    )
+    err = finite_diff_check(f, [view.data] + ws)
     assert err < 1e-6
 
 
@@ -315,8 +308,8 @@ def test_local_attention_gradcheck():
 def test_ma_block_preserves_shape():
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((1, 60, 250)).astype(np.float32))
-    params = MultiViewBlockParams.create(rng, 60, 64, np.float32)
-    out = ma_block(x, params, 64)
+    params = registered(init_ma_block, rng, 60, 64, dtype=np.float32)
+    out = ma_block(x, params, "b", 64)
     assert out.shape == (1, 60, 250)
     assert out.dtype == np.float32
 
@@ -324,20 +317,20 @@ def test_ma_block_preserves_shape():
 def test_ma_block_rejects_indivisible_channels():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        MultiViewBlockParams.create(rng, 8, 64, np.float32)
-    params = MultiViewBlockParams.create(rng, 6, 8, np.float64)
+        registered(init_ma_block, rng, 8, 64)
+    params = registered(init_ma_block, rng, 6, 8)
     with pytest.raises(ValueError):
-        ma_block(Tensor(np.zeros((1, 8, 16))), params, 8)
+        ma_block(Tensor(np.zeros((1, 8, 16))), params, "b", 8)
 
 
 def test_ma_block_zero_exit_is_identity():
     """Zeroed exit conv kills z, the gated residual, and any change to x."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 6, 20))
-    params = MultiViewBlockParams.create(rng, 6, 8, np.float64)
-    params.exit.weight.data[:] = 0.0
-    params.exit.bias.data[:] = 0.0
-    out = ma_block(Tensor(x), params, 8)
+    params = registered(init_ma_block, rng, 6, 8)
+    params["b.exit.weight"].data[:] = 0.0
+    params["b.exit.bias"].data[:] = 0.0
+    out = ma_block(Tensor(x), params, "b", 8)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -351,31 +344,27 @@ def test_ma_block_zero_exit_is_identity():
 )
 def test_ma_block_ablation_removes_only_its_view(flag, removed):
     rng = np.random.default_rng(12)
-    full = dict(MultiViewBlockParams.create(rng, 6, 8, np.float64).named_tensors("b"))
-    cut = dict(
-        MultiViewBlockParams.create(
-            np.random.default_rng(12), 6, 8, np.float64, **{flag: False}
-        ).named_tensors("b")
-    )
+    full = registered(init_ma_block, rng, 6, 8)
+    cut = registered(init_ma_block, np.random.default_rng(12), 6, 8, **{flag: False})
     assert set(full) - set(cut) == {f"b.{name}" for name in removed}
 
 
 @pytest.mark.parametrize("flag", ["use_channel", "use_global", "use_local"])
 def test_ma_block_runs_with_view_disabled(flag):
     rng = np.random.default_rng(13)
-    params = MultiViewBlockParams.create(rng, 6, 8, np.float64, **{flag: False})
+    params = registered(init_ma_block, rng, 6, 8, **{flag: False})
     x = Tensor(rng.standard_normal((1, 6, 20)))
-    assert ma_block(x, params, 8).shape == (1, 6, 20)
+    assert ma_block(x, params, "b", 8).shape == (1, 6, 20)
 
 
 def test_ma_block_gradcheck():
     rng = np.random.default_rng(14)
-    params = MultiViewBlockParams.create(rng, 6, 8, np.float64)
+    params = registered(init_ma_block, rng, 6, 8)
     x = Tensor(rng.standard_normal((1, 6, 16)), requires_grad=True)
-    tensors = [x] + [t for _, t in params.named_tensors("b")]
+    tensors = [x] + list(params.values())
 
     def f(*_):
-        return tsum(ma_block(x, params, 8))
+        return tsum(ma_block(x, params, "b", 8))
 
     err = finite_diff_check(f, tensors, max_checks_per_input=6, rng=np.random.default_rng(0))
     assert err < 1e-6

@@ -264,6 +264,18 @@ def test_enhance_empty_directory_exits_3(tmp_path, capsys):
     assert "no WAV files" in capsys.readouterr().err
 
 
+def test_enhance_non_finite_input_exits_3(tmp_path, capsys):
+    samples = np.full(1600, 0.1, dtype=np.float32)
+    samples[100] = np.nan
+    wav = tmp_path / "nan.wav"
+    write_wav(wav, AudioClip(samples, 16000), encoding="float32")
+    ckpt = toy_checkpoint(tmp_path)
+    out = tmp_path / "enh"
+    assert main(["enhance", str(wav), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "nan.wav").exists()
+
+
 def test_enhance_corrupt_checkpoint_exits_3(tmp_path, corpus_dirs, capsys):
     noisy, _ = corpus_dirs
     bad = tmp_path / "bad.ckpt"

@@ -11,12 +11,15 @@ from manner.model import (
     ModelConfig,
     build_model,
     down_conv,
+    init_rescon,
     manner_forward,
     mask_gate,
+    num_params,
     rescon,
+    trainable,
     up_conv,
 )
-from manner.nn import conv_out_length
+from manner.nn import ParamInit, conv_out_length
 from manner.tensor import Tensor, finite_diff_check, tsum
 
 # ---------------------------------------------------------------------
@@ -142,7 +145,7 @@ def test_param_count_matches_oracle_full():
     expected = model_count(cfg)
     assert expected == 19_229_573
     params = build_model(cfg, seed=0)
-    assert params.tree.num_params() == expected
+    assert num_params(params) == expected
 
 
 def test_param_count_matches_oracle_small():
@@ -150,7 +153,7 @@ def test_param_count_matches_oracle_small():
     expected = model_count(cfg)
     assert expected == 17_558_699
     params = build_model(cfg, seed=0)
-    assert params.tree.num_params() == expected
+    assert num_params(params) == expected
     assert expected < 19_229_573
 
 
@@ -159,7 +162,7 @@ def test_param_count_matches_oracle_small():
 def test_param_count_matches_oracle_toy(variant, base, depth, chunk):
     cfg = ModelConfig(base_channels=base, depth=depth, chunk_size=chunk, variant=variant)
     params = build_model(cfg, seed=1)
-    assert params.tree.num_params() == model_count(cfg)
+    assert num_params(params) == model_count(cfg)
 
 
 @pytest.mark.parametrize(
@@ -178,14 +181,14 @@ def test_param_count_ablation_delta(switch):
     enc_widths = [base.encoder_channels(i) for i in (1, 2)]
     dec_widths = [base.encoder_channels(i - 1) for i in (1, 2)]
     expected_delta = sum(per_block(ch) for ch in enc_widths + dec_widths)
-    full_n = build_model(base, seed=0).tree.num_params()
-    cut_n = build_model(cut, seed=0).tree.num_params()
+    full_n = num_params(build_model(base, seed=0))
+    cut_n = num_params(build_model(cut, seed=0))
     assert full_n - cut_n == expected_delta
 
 
 def test_small_variant_drops_shallow_attention_names():
     cfg = ModelConfig(variant="small")
-    names = build_model(cfg, seed=0).tree.names()
+    names = list(build_model(cfg, seed=0))
     assert any(n.startswith("enc4.ma.") for n in names)
     assert any(n.startswith("dec4.ma.") for n in names)
     for layer in (1, 2, 3):
@@ -195,18 +198,18 @@ def test_small_variant_drops_shallow_attention_names():
 
 def test_bottleneck_sits_at_deepest_width():
     params = build_model(ModelConfig(), seed=0)
-    assert params.tree["bottleneck.weight"].shape == (960, 960, 1)
+    assert params["bottleneck.weight"].shape == (960, 960, 1)
 
 
 def test_build_is_deterministic():
     a = build_model(ModelConfig(**TOY), seed=5)
     b = build_model(ModelConfig(**TOY), seed=5)
     c = build_model(ModelConfig(**TOY), seed=6)
-    for (name, ta), (_, tb) in zip(a.tree.items(), b.tree.items()):
+    for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.array_equal(ta.data, tb.data), name
     assert any(
         not np.array_equal(ta.data, tc.data)
-        for (_, ta), (_, tc) in zip(a.tree.items(), c.tree.items())
+        for (_, ta), (_, tc) in zip(a.items(), c.items())
     )
 
 
@@ -224,27 +227,27 @@ def test_downsample_length_ladder():
 
 def test_rescon_changes_width_only():
     rng = np.random.default_rng(0)
-    from manner.model import ResConParams
-
-    grow = ResConParams.create(rng, 6, 12, np.float64)
-    shrink = ResConParams.create(rng, 12, 6, np.float64)
+    init = ParamInit({}, rng, np.float64)
+    init_rescon(init, "grow", 6, 12)
+    init_rescon(init, "shrink", 12, 6)
     x = Tensor(rng.standard_normal((2, 6, 40)))
-    h = rescon(x, grow, training=False)
+    h = rescon(x, init.params, "grow", training=False)
     assert h.shape == (2, 12, 40)
-    assert rescon(h, shrink, training=False).shape == (2, 6, 40)
+    assert rescon(h, init.params, "shrink", training=False).shape == (2, 6, 40)
 
 
 def test_up_conv_inverts_down_conv_shape():
     rng = np.random.default_rng(1)
-    from manner.model import ConvBlockParams
-
     cfg = ModelConfig(**TOY)
-    down = ConvBlockParams.create(rng, 6, 6, 8, np.float64)
-    up = ConvBlockParams.create(rng, 6, 6, 8, np.float64, transposed=True)
+    init = ParamInit({}, rng, np.float64)
+    init.conv("down.conv", 6, 6, 8)
+    init.batch_norm("down.bn", 6)
+    init.conv_transpose("up.conv", 6, 6, 8)
+    init.batch_norm("up.bn", 6)
     x = Tensor(rng.standard_normal((1, 6, 64)))
-    h = down_conv(x, down, cfg, training=False)
+    h = down_conv(x, init.params, "down", cfg, training=False)
     assert h.shape == (1, 6, 16)
-    assert up_conv(h, up, cfg, training=False).shape == (1, 6, 64)
+    assert up_conv(h, init.params, "up", cfg, training=False).shape == (1, 6, 64)
 
 
 def test_mask_gate_range_and_zero_case():
@@ -255,9 +258,9 @@ def test_mask_gate_range_and_zero_case():
     assert m.shape == (2, 6, 30)
     assert np.all(m >= 0.0) and np.all(m < 1.0)
 
-    params.mask_a.weight.data[:] = 0.0
-    params.mask_b.weight.data[:] = 0.0
-    params.mask_b.bias.data[:] = 0.0
+    params["mask.a.weight"].data[:] = 0.0
+    params["mask.b.weight"].data[:] = 0.0
+    params["mask.b.bias"].data[:] = 0.0
     np.testing.assert_array_equal(mask_gate(d, params).data, np.zeros((2, 6, 30)))
 
 
@@ -320,11 +323,11 @@ def test_model_gradcheck():
     rng = np.random.default_rng(6)
     # fresh biases are zero, which parks relu inputs and pooled maxima
     # exactly on their kinks where central differences are undefined
-    for _, t in params.tree.trainable_items():
+    for t in trainable(params).values():
         if not t.data.any():
             t.data += rng.uniform(0.05, 0.15, size=t.shape)
     x = Tensor(rng.standard_normal((1, 1, 64)), requires_grad=True)
-    tensors = [x] + [t for _, t in params.tree.trainable_items()]
+    tensors = [x] + list(trainable(params).values())
 
     def f(*_):
         return tsum(manner_forward(x, params, cfg, training=False))

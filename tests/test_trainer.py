@@ -4,6 +4,7 @@ The training runs here use a toy geometry and short tones so a full
 train/resume comparison stays under a second.
 """
 
+import hashlib
 import math
 import struct
 
@@ -13,7 +14,7 @@ import pytest
 from manner.checkpoint import load_checkpoint, save_checkpoint
 from manner.errors import CheckpointError, TrainingDiverged
 from manner.loss import StftConfig
-from manner.model import ModelConfig, ParameterTree, build_model
+from manner.model import ModelConfig, build_model, num_params
 from manner.tensor import Tensor
 from manner.trainer import (
     AdamState,
@@ -29,13 +30,10 @@ SMALL_RES = (StftConfig(64, 16, 32).validate(), StftConfig(128, 32, 64).validate
 TOY = dict(base_channels=6, depth=2, chunk_size=8)
 
 
-def make_tree(*shapes):
-    tree = ParameterTree()
+def make_params(*shapes):
     rng = np.random.default_rng(0)
-    for i, shape in enumerate(shapes):
-        tree.register(f"p{i}", Tensor(rng.standard_normal(shape).astype(np.float32),
-                                      requires_grad=True))
-    return tree
+    return {f"p{i}": Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            for i, shape in enumerate(shapes)}
 
 
 # ---------------------------------------------------------------------
@@ -43,50 +41,50 @@ def make_tree(*shapes):
 
 
 def test_adam_zero_gradient_changes_nothing_but_advances():
-    tree = make_tree((3,), (2, 2))
-    before = {n: t.data.copy() for n, t in tree.items()}
-    state = init_adam(tree)
-    adam_step(tree, {n: np.zeros_like(t.data) for n, t in tree.items()}, state, lr=0.1)
+    params = make_params((3,), (2, 2))
+    before = {n: t.data.copy() for n, t in params.items()}
+    state = init_adam(params)
+    adam_step(params, {n: np.zeros_like(t.data) for n, t in params.items()}, state, lr=0.1)
     assert state.t == 1
-    for n, t in tree.items():
+    for n, t in params.items():
         np.testing.assert_array_equal(t.data, before[n])
 
 
 def test_adam_missing_gradient_is_treated_as_zero():
-    tree = make_tree((4,))
-    before = tree["p0"].data.copy()
-    adam_step(tree, {}, init_adam(tree), lr=0.1)
-    np.testing.assert_array_equal(tree["p0"].data, before)
+    params = make_params((4,))
+    before = params["p0"].data.copy()
+    adam_step(params, {}, init_adam(params), lr=0.1)
+    np.testing.assert_array_equal(params["p0"].data, before)
 
 
 def test_adam_first_step_moves_by_lr_against_the_gradient():
     """Bias correction makes step one lr * sign(g) up to eps rounding."""
-    tree = make_tree((5,))
-    before = tree["p0"].data.copy()
+    params = make_params((5,))
+    before = params["p0"].data.copy()
     g = np.array([1.0, -2.0, 0.5, -0.1, 3.0], dtype=np.float32)
-    adam_step(tree, {"p0": g}, init_adam(tree), lr=1e-3)
-    delta = tree["p0"].data - before
+    adam_step(params, {"p0": g}, init_adam(params), lr=1e-3)
+    delta = params["p0"].data - before
     # float32 params plus the eps guard bound the relative slack at ~1e-5
     np.testing.assert_allclose(delta, -1e-3 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_constant_gradient_keeps_unit_steps():
-    tree = make_tree((4,))
-    state = init_adam(tree)
+    params = make_params((4,))
+    state = init_adam(params)
     g = np.array([0.3, -0.7, 2.0, -5.0], dtype=np.float32)
     lr = 1e-2
     for _ in range(20):
-        before = tree["p0"].data.copy()
-        adam_step(tree, {"p0": g}, state, lr)
-        step = np.abs(tree["p0"].data - before)
+        before = params["p0"].data.copy()
+        adam_step(params, {"p0": g}, state, lr)
+        step = np.abs(params["p0"].data - before)
         np.testing.assert_allclose(step, lr, rtol=1e-4)
     assert state.t == 20
 
 
 def test_adam_rejects_shape_mismatch():
-    tree = make_tree((3,))
+    params = make_params((3,))
     with pytest.raises(ValueError, match="shape"):
-        adam_step(tree, {"p0": np.zeros(4, dtype=np.float32)}, init_adam(tree), lr=0.1)
+        adam_step(params, {"p0": np.zeros(4, dtype=np.float32)}, init_adam(params), lr=0.1)
 
 
 # ---------------------------------------------------------------------
@@ -168,8 +166,8 @@ def toy_params(seed=0):
     return build_model(ModelConfig(**TOY), seed=seed)
 
 
-def randomized_state(tree):
-    state = init_adam(tree)
+def randomized_state(params):
+    state = init_adam(params)
     rng = np.random.default_rng(42)
     state.t = 17
     for n in state.m:
@@ -180,14 +178,14 @@ def randomized_state(tree):
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     params = toy_params(seed=3)
-    state = randomized_state(params.tree)
+    state = randomized_state(params)
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, params, state, step=123, epoch=4)
 
     loaded, opt, step, epoch = load_checkpoint(path)
     assert (step, epoch) == (123, 4)
     assert loaded.config == params.config
-    for (name, orig), (name2, back) in zip(params.tree.items(), loaded.tree.items()):
+    for (name, orig), (name2, back) in zip(params.items(), loaded.items()):
         assert name == name2
         assert np.array_equal(orig.data, back.data), name
     assert opt.t == 17 and opt.beta1 == 0.9 and opt.beta2 == 0.999 and opt.eps == 1e-8
@@ -201,13 +199,36 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+# sha256 of save_checkpoint(build_model(cfg, seed=0)) bytes, recorded before
+# the parameter store was flattened: they pin the manifest (names, order,
+# shapes), the seeded init bits and the v1 layout together.
+MANIFEST_SHA256 = {
+    "toy": "328f2622ecf89c884e897dce31bbf23f0f9342a84675af5776575c285028064e",
+    "full": "53fbd95092f7c305c61bee2591a248f8018d39314c1041d4da449ce6eb10cdf4",
+    "small": "2093ce95a95f176733b3f52cad27338c914707c4016ddb9535799e1c09424d33",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_SHA256))
+def test_checkpoint_bytes_match_recorded_manifest(tmp_path, name):
+    if name == "toy":
+        params = toy_params()
+        state = init_adam(params)
+    else:
+        params = build_model(ModelConfig(variant=name), seed=0)
+        state = None
+    path = tmp_path / f"{name}.ckpt"
+    save_checkpoint(path, params, state)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MANIFEST_SHA256[name]
+
+
 def test_checkpoint_without_optimizer(tmp_path):
     params = toy_params()
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, params)
     loaded, opt, step, epoch = load_checkpoint(path)
     assert opt is None and step == 0 and epoch == 0
-    assert loaded.tree.num_params() == params.tree.num_params()
+    assert num_params(loaded) == num_params(params)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -339,7 +360,7 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
     assert resumed.log_lines == full.log_lines[-n_tail:]
     full_again, _, _, _ = load_checkpoint(tmp_path / "full" / "last.ckpt")
     resumed_again, _, _, _ = load_checkpoint(tmp_path / "part" / "last.ckpt")
-    for (name, ta), (_, tb) in zip(full_again.tree.items(), resumed_again.tree.items()):
+    for (name, ta), (_, tb) in zip(full_again.items(), resumed_again.items()):
         assert np.array_equal(ta.data, tb.data), name
     part_log = (tmp_path / "part" / "train_log.txt").read_text().splitlines()
     full_log = (tmp_path / "full" / "train_log.txt").read_text().splitlines()
@@ -367,7 +388,7 @@ def test_max_steps_caps_the_run():
 def test_nan_parameters_raise_diverged():
     corpus = tone_corpus(n_pairs=1)
     params = build_model(ModelConfig(**TOY), seed=1)
-    params.tree["first.conv.weight"].data[:] = np.nan
+    params["first.conv.weight"].data[:] = np.nan
     with pytest.raises(TrainingDiverged):
         train(params, corpus, toy_settings(epochs=1), resolutions=SMALL_RES)
 
