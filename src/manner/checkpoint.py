@@ -65,8 +65,9 @@ def _read_exact(f, n: int, what: str) -> bytes:
 def load_checkpoint(path, dtype=np.float32):
     """Returns (ModelParams, AdamState | None, step, epoch).
 
-    The model is rebuilt from the stored config and every tensor is
-    overwritten in place, so a float32 save restores bit-for-bit.
+    The model is rebuilt from the stored config without drawing weights,
+    and every tensor is overwritten in place, so a float32 save restores
+    bit-for-bit.
     """
     path = Path(path)
     if not path.is_file():
@@ -87,7 +88,7 @@ def load_checkpoint(path, dtype=np.float32):
             config = ModelConfig.from_dict(header["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad model config ({exc})") from exc
-        params = build_model(config, seed=0, dtype=dtype)
+        params = build_model(config, seed=None, dtype=dtype)
 
         entries = header.get("params", [])
         if [e["name"] for e in entries] != list(params):

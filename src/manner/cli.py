@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,20 +126,30 @@ def cmd_enhance(args) -> int:
 def cmd_eval(args) -> int:
     params, _, _, _ = load_checkpoint(args.checkpoint)
     corpus = pair_corpus(args.noisy_dir, args.clean_dir)
-    rows = []
+    rows = []  # (name, before, after); None scores mark an unscored row
     for pair in corpus:
         ensure_rate(pair.noisy, f"{pair.name} (noisy)")
         ensure_rate(pair.clean, f"{pair.name} (clean)")
-        enhanced = _enhance_clip(params, pair.noisy)
-        before = si_snr(pair.noisy.samples, pair.clean.samples)
-        after = si_snr(enhanced, pair.clean.samples)
+        try:
+            before = si_snr(pair.noisy.samples, pair.clean.samples)
+        except ValueError as exc:  # a silent reference has no SI-SNR
+            log.warning("%s: unscored (%s)", pair.name, exc)
+            rows.append((pair.name, None, None))
+            continue
+        after = si_snr(_enhance_clip(params, pair.noisy), pair.clean.samples)
         rows.append((pair.name, before, after))
+    scored = [row for row in rows if row[1] is not None]
+    if not scored:
+        raise DataError("no utterance could be scored: every clean reference is silent")
 
     print(f"{'utterance':<28} {'noisy dB':>10} {'enhanced dB':>12} {'delta dB':>10}")
     for name, before, after in rows:
-        print(f"{name:<28} {before:>10.2f} {after:>12.2f} {after - before:>10.2f}")
-    mean_before = float(np.mean([b for _, b, _ in rows]))
-    mean_after = float(np.mean([a for _, _, a in rows]))
+        if before is None:
+            print(f"{name:<28} {'unscored':>10}")
+        else:
+            print(f"{name:<28} {before:>10.2f} {after:>12.2f} {after - before:>10.2f}")
+    mean_before = float(np.mean([b for _, b, _ in scored]))
+    mean_after = float(np.mean([a for _, _, a in scored]))
     print(f"{'mean':<28} {mean_before:>10.2f} {mean_after:>12.2f} {mean_after - mean_before:>10.2f}")
 
     if args.out:
@@ -147,7 +158,10 @@ def cmd_eval(args) -> int:
         with open(out_dir / "eval.csv", "w") as f:
             f.write("utterance,si_snr_noisy_db,si_snr_enhanced_db,delta_db\n")
             for name, before, after in rows:
-                f.write(f"{name},{before:.4f},{after:.4f},{after - before:.4f}\n")
+                if before is None:
+                    f.write(f"{name},,,\n")
+                else:
+                    f.write(f"{name},{before:.4f},{after:.4f},{after - before:.4f}\n")
     return EXIT_OK
 
 
@@ -161,22 +175,21 @@ def cmd_bench(args) -> int:
     if args.runs < 1:
         raise ConfigError("--runs must be >= 1")
 
-    models = []
     if args.checkpoint is not None:
-        params, _, _, _ = load_checkpoint(args.checkpoint)
-        models.append(params)
+        builders = [lambda: load_checkpoint(args.checkpoint)[0]]
     else:
         cfg = parse_run_config(args.config) if args.config else default_run_config()
         variants = [args.variant] if args.variant != "both" else ["full", "small"]
-        for variant in variants:
-            mc = cfg.model.__class__(**{**cfg.model.to_dict(), "variant": variant})
-            models.append(build_model(mc.validate(), seed=args.seed))
+        configs = [replace(cfg.model, variant=v).validate() for v in variants]
+        builders = [lambda mc=mc: build_model(mc, seed=args.seed) for mc in configs]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for params in models:
-        report = bench_mod.run_bench(params, lengths, runs=args.runs, seed=args.seed)
+    for build in builders:
+        # One model is resident at a time, so no variant's MiB counts
+        # another's weights.
+        report = bench_mod.run_bench(build(), lengths, runs=args.runs, seed=args.seed)
         report.write_csv(out_dir / f"bench_{report.variant}.csv")
         reports.append(report)
     print(bench_mod.format_table(reports))

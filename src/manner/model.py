@@ -114,15 +114,19 @@ def init_rescon(init: ParamInit, prefix: str, cin: int, cout: int) -> None:
     init.conv(f"{prefix}.res", cout, cin, 1)
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> ModelParams:
     """Create a model with fan-in uniform weights; same seed, same bits.
+
+    `seed=None` draws nothing and leaves every weight at zero, for a caller
+    (a checkpoint load) that overwrites them all.
 
     Encoder layer i is `enc{i}.down` (strided conv + BN), `enc{i}.rescon`
     and, where the variant has attention, `enc{i}.ma`; decoder layers are
     registered deepest first as `dec{i}.rescon`, `dec{i}.ma`, `dec{i}.up`.
     """
     config.validate()
-    init = ParamInit(ModelParams(config), np.random.default_rng(seed), dtype)
+    rng = None if seed is None else np.random.default_rng(seed)
+    init = ParamInit(ModelParams(config), rng, dtype)
     n = config.base_channels
     k = config.kernel_size
 

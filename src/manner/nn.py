@@ -18,11 +18,13 @@ class ParamInit:
 
     Weights are drawn fan-in uniform, U(-1/sqrt(fan_in), +), at the moment
     they are registered, so one sequence of calls fixes both the RNG draws
-    and the order of the map (and with it a checkpoint's layout). Biases
-    start at zero; batch-norm running stats are buffers without gradients.
+    and the order of the map (and with it a checkpoint's layout). Without a
+    generator, weights start at zero, for a caller that overwrites them.
+    Biases start at zero; batch-norm running stats are buffers without
+    gradients.
     """
 
-    def __init__(self, params: dict, rng: np.random.Generator, dtype) -> None:
+    def __init__(self, params: dict, rng: np.random.Generator | None, dtype) -> None:
         self.params = params
         self.rng = rng
         self.dtype = dtype
@@ -34,7 +36,8 @@ class ParamInit:
 
     def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
-        self._add(name, self.rng.uniform(-bound, bound, size=shape), True)
+        data = np.zeros(shape) if self.rng is None else self.rng.uniform(-bound, bound, size=shape)
+        self._add(name, data, True)
 
     def conv(self, name: str, cout: int, cin: int, kernel: int, groups: int = 1) -> None:
         """`name.weight` [Cout, Cin/groups, K] and `name.bias` for conv1d."""
@@ -138,8 +141,8 @@ def conv1d(
         cols = _time_windows(xp, kw, stride, tout).reshape(b, cin * kw, tout)
         out = np.matmul(wd.reshape(cout, cin * kw), cols)
     else:
-        win = np.swapaxes(_time_windows(xp, kw, stride, tout), -1, -2)  # [B,C,Tout,K]
-        out = np.einsum("bctk,ck->bct", win, wd[:, 0], optimize=True)
+        # unoptimized einsum reads the window view in place; optimize=True copies it
+        out = np.einsum("bckt,ck->bct", _time_windows(xp, kw, stride, tout), wd[:, 0])
     if bias is not None:
         out = out + bias.data[None, :, None]
 
@@ -152,20 +155,18 @@ def conv1d(
                 y = np.matmul(wd.reshape(cout, cin * kw).T, g).reshape(b, cin, kw, tout)
                 gxp = _scatter_windows(y, stride, tp)
             else:
-                # per-tap slice-add; avoids a [B,C,K,T] temp K times the input
-                gxp = np.zeros((b, cin, tp), dtype=g.dtype)
-                span = (tout - 1) * stride + 1
-                for k in range(kw):
-                    gxp[..., k : k + span : stride] += g * wd[None, :, 0, k : k + 1]
+                # full correlation of the stride-dilated gradient with the flipped kernel
+                gd = np.zeros((b, cin, tp + kw - 1), dtype=g.dtype)
+                gd[..., kw - 1 : kw - 1 + (tout - 1) * stride + 1 : stride] = g
+                gxp = np.einsum("bckt,ck->bct", _time_windows(gd, kw, 1, tp), wd[:, 0, ::-1])
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
+            win = _time_windows(xp, kw, stride, tout)
             if groups == 1:
-                cols4 = _time_windows(xp, kw, stride, tout)
-                gw = np.einsum("bot,bckt->ock", g, cols4, optimize=True)
+                gw = np.einsum("bot,bckt->ock", g, win, optimize=True)
             else:
-                win4 = np.swapaxes(_time_windows(xp, kw, stride, tout), -1, -2)
-                gw = np.einsum("bct,bctk->ck", g, win4, optimize=True)[:, None, :]
+                gw = np.einsum("bct,bckt->ck", g, win)[:, None, :]
         gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 

@@ -316,6 +316,32 @@ def test_eval_without_out_writes_nothing(tmp_path, corpus_dirs, capsys):
     assert set(tmp_path.rglob("*.csv")) == before
 
 
+def test_eval_silent_reference_is_unscored(tmp_path, corpus_dirs, capsys):
+    noisy, clean = corpus_dirs
+    silent = read_wav(clean / "utt1.wav")
+    write_wav(clean / "utt1.wav", AudioClip(np.zeros_like(silent.samples), silent.sample_rate))
+    ckpt = toy_checkpoint(tmp_path)
+    out = tmp_path / "report"
+    assert main(["eval", str(noisy), str(clean), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    assert "unscored" in capsys.readouterr().out
+    lines = (out / "eval.csv").read_text().splitlines()
+    assert lines[2] == "utt1.wav,,,"
+    scored = [line.split(",") for line in lines[1:] if not line.endswith(",,,")]
+    assert [row[0] for row in scored] == ["utt0.wav", "utt2.wav"]
+    assert all(np.isfinite(float(v)) for row in scored for v in row[1:])
+
+
+def test_eval_every_reference_silent_exits_3(tmp_path, corpus_dirs, capsys):
+    noisy, clean = corpus_dirs
+    for path in clean.glob("*.wav"):
+        clip = read_wav(path)
+        write_wav(path, AudioClip(np.zeros_like(clip.samples), clip.sample_rate))
+    ckpt = toy_checkpoint(tmp_path)
+    assert main(["eval", str(noisy), str(clean), "--checkpoint", str(ckpt)]) == 3
+    assert "no utterance could be scored" in capsys.readouterr().err
+
+
 def test_eval_unpaired_corpus_exits_3(tmp_path, corpus_dirs, capsys):
     noisy, _ = corpus_dirs
     empty = tmp_path / "empty_clean"
@@ -355,6 +381,21 @@ def test_bench_single_variant(tmp_path, capsys):
     capsys.readouterr()
     assert (out / "bench_small.csv").is_file()
     assert not (out / "bench_full.csv").exists()
+
+
+def test_bench_both_reports_each_variant_alone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TOY_MODEL)
+
+    def peaks(variant):
+        out = tmp_path / variant
+        assert main(["bench", "--config", str(cfg), "--variant", variant, "--lengths", "1",
+                     "--runs", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        return {v: (out / f"bench_{v}.csv").read_text().splitlines()[1].split(",")[2]
+                for v in ("full", "small") if (out / f"bench_{v}.csv").is_file()}
+
+    both = peaks("both")
+    assert both == {**peaks("full"), **peaks("small")}
 
 
 def test_bench_from_checkpoint(tmp_path, capsys):

@@ -4,6 +4,8 @@ The conv oracles below are deliberately naive Python loops so they share
 no code path with the vectorized implementations they check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,8 @@ def test_conv1d_length_formula():
         (2, 6, 6, 9, 3, 1, 1, 6, True),  # depthwise
         (1, 8, 8, 11, 3, 2, 1, 8, False),  # strided depthwise
         (3, 2, 5, 7, 7, 1, 3, 1, True),  # kernel spans padded input
+        (2, 4, 4, 40, 31, 1, 15, 4, True),  # the model's depthwise: K=31, P=15
+        (1, 3, 3, 37, 31, 2, 15, 3, False),  # strided depthwise, K=31
     ],
 )
 def test_conv1d_matches_loop_oracle(b, cin, cout, t, kw, stride, padding, groups, use_bias):
@@ -145,6 +149,48 @@ def test_conv1d_matches_loop_oracle(b, cin, cout, t, kw, stride, padding, groups
     )
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,padding,kw", [(1, 15, 31), (2, 1, 3), (3, 2, 5), (2, 0, 4)])
+def test_depthwise_backward_matches_block_diagonal_dense(stride, padding, kw):
+    """Depthwise gradients equal those of the dense conv with a
+    block-diagonal weight, under a random upstream gradient."""
+    rng = np.random.default_rng(stride * 10 + kw)
+    ch = 3
+    x = rng.standard_normal((2, ch, 41))
+    w = rng.standard_normal((ch, 1, kw))
+    dense = np.zeros((ch, ch, kw))
+    dense[np.arange(ch), np.arange(ch)] = w[:, 0]
+    grads = []
+    for weight, groups in ((w, ch), (dense, 1)):
+        xt = Tensor(x, requires_grad=True, dtype=np.float64)
+        wt = Tensor(weight, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            y = conv1d(xt, wt, stride=stride, padding=padding, groups=groups)
+            loss = tsum(y * Tensor(np.random.default_rng(0).standard_normal(y.shape)))
+        backward(tape, loss)
+        gw = wt.grad[:, 0] if groups > 1 else wt.grad[np.arange(ch), np.arange(ch)]
+        grads.append((xt.grad, gw))
+    (gx, gw), (gx_dense, gw_dense) = grads
+    np.testing.assert_allclose(gx, gx_dense, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(gw, gw_dense, rtol=1e-10, atol=1e-12)
+
+
+def test_depthwise_forward_copies_no_windows():
+    """The window view is read in place: a [B,C,K,T] copy would peak near
+    K times the input."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((1, 64, 8000)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 1, 31)).astype(np.float32))
+    b = Tensor(rng.standard_normal(64).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = conv1d(x, w, b, padding=15, groups=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak < 4 * x.data.nbytes
 
 
 def test_conv1d_rejects_bad_shapes():
@@ -576,7 +622,8 @@ def test_finite_diff_flags_corrupted_gradient():
 
 @pytest.mark.parametrize(
     "op,stride,padding,groups",
-    [("conv", 1, 0, 1), ("conv", 2, 1, 1), ("conv", 1, 1, 4), ("convt", 1, 0, 1), ("convt", 2, 1, 1)],
+    [("conv", 1, 0, 1), ("conv", 2, 1, 1), ("conv", 1, 1, 4), ("conv", 2, 1, 4), ("conv", 3, 2, 4),
+     ("convt", 1, 0, 1), ("convt", 2, 1, 1)],
 )
 def test_finite_diff_conv_ops(op, stride, padding, groups):
     rng = np.random.default_rng(17)

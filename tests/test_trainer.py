@@ -199,6 +199,21 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
+    params = toy_params(seed=3)
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, params)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew weights it then overwrote")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded, _, _, _ = load_checkpoint(path)
+    assert list(loaded) == list(params)
+    for name, t in params.items():
+        assert np.array_equal(loaded[name].data, t.data), name
+
+
 # sha256 of save_checkpoint(build_model(cfg, seed=0)) bytes, recorded before
 # the parameter store was flattened: they pin the manifest (names, order,
 # shapes), the seeded init bits and the v1 layout together.
