@@ -9,26 +9,32 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .chunker import ChunkedView, chunk, merge
 from .nn import ParamInit, conv1d, conv_tensors, linear
 from .tensor import (
     Tensor,
     add,
+    apply_op,
     concat,
-    matmul,
     mul,
     relu,
     reshape,
     sigmoid,
-    softmax,
     tanh,
     tmax,
     tmean,
     transpose,
 )
+# Unused here; perfbench/worker.py wraps both names on this module when tracing.
+from .tensor import matmul, softmax  # noqa: F401
 
 LOCAL_FUSE_KERNEL = 7
 GLOBAL_WEIGHTS = ("wq", "wk", "wv", "wout")
+# Largest score block attend() materialises, so its score memory stays
+# fixed however long the input is.
+SCORE_BLOCK_BYTES = 4 * 2**20
 
 
 def local_kernel_size(chunk_size: int) -> int:
@@ -100,17 +106,87 @@ def channel_attention(x: Tensor, w0: Tensor, w1: Tensor) -> Tensor:
     return mul(x, reshape(alpha, (b, ch, 1)))
 
 
+def _score_blocks(heads: int, p: int, itemsize: int):
+    """(head slice, query-row slice) pairs whose scores fit SCORE_BLOCK_BYTES.
+
+    Whole heads share a block while one head's P x P scores fit the budget;
+    past that, each head is split into runs of query rows (at least one).
+    """
+    head_bytes = p * p * itemsize
+    if head_bytes <= SCORE_BLOCK_BYTES:
+        step = SCORE_BLOCK_BYTES // head_bytes
+        for h in range(0, heads, step):
+            yield slice(h, h + step), slice(0, p)
+    else:
+        rows = max(1, SCORE_BLOCK_BYTES // (p * itemsize))
+        for h in range(heads):
+            for r in range(0, p, rows):
+                yield slice(h, h + 1), slice(r, r + rows)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(C)) v over [..., P, C], scores built block by block.
+
+    Leading axes are heads. The forward keeps only each row's log-sum-exp;
+    the backward recomputes every block's probabilities from it, so score
+    memory is one block (two in the backward) at any input length.
+    """
+    if not q.shape == k.shape == v.shape or q.ndim < 2:
+        raise ValueError(f"attend needs equal [..., P, C] shapes, got {q.shape}, {k.shape}, {v.shape}")
+    shape = q.shape
+    p, c = shape[-2:]
+    qf, kf, vf = (t.data.reshape(-1, p, c) for t in (q, k, v))
+    heads = qf.shape[0]
+    scale = 1.0 / math.sqrt(c)
+    blocks = list(_score_blocks(heads, p, qf.dtype.itemsize))
+
+    out = np.empty_like(vf)
+    lse = np.empty((heads, p, 1), dtype=qf.dtype)
+    for hs, rs in blocks:
+        s = np.matmul(qf[hs, rs] * scale, kf[hs].swapaxes(-1, -2))
+        row_max = s.max(axis=-1, keepdims=True)
+        s -= row_max
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        s /= total
+        np.matmul(s, vf[hs], out=out[hs, rs])
+        lse[hs, rs] = row_max + np.log(total)
+        del s  # free this block before the next is built
+
+    def bwd(g, needs):
+        gf = g.reshape(-1, p, c)
+        d = np.einsum("hpc,hpc->hp", gf, out)[..., None]  # rowsum(dP * P)
+        gq = np.empty_like(qf)
+        gk = np.empty_like(kf)
+        gv = np.empty_like(vf)
+        for hs, rs in blocks:
+            qs = qf[hs, rs] * scale
+            prob = np.matmul(qs, kf[hs].swapaxes(-1, -2))
+            prob -= lse[hs, rs]
+            np.exp(prob, out=prob)
+            ds = np.matmul(gf[hs, rs], vf[hs].swapaxes(-1, -2))
+            ds -= d[hs, rs]
+            ds *= prob
+            if rs.start == 0:  # a head's first row run writes gk and gv, later runs add
+                np.matmul(prob.swapaxes(-1, -2), gf[hs, rs], out=gv[hs])
+                np.matmul(ds.swapaxes(-1, -2), qs, out=gk[hs])
+            else:
+                gv[hs] += np.matmul(prob.swapaxes(-1, -2), gf[hs, rs])
+                gk[hs] += np.matmul(ds.swapaxes(-1, -2), qs)
+            np.matmul(ds, kf[hs], out=gq[hs, rs])
+            del prob, ds
+        gq *= scale
+        grads = (gq, gk, gv)
+        return tuple(gr.reshape(shape) if need else None for gr, need in zip(grads, needs))
+
+    return apply_op(out.reshape(shape), (q, k, v), bwd)
+
+
 def global_attention(view: ChunkedView, wq: Tensor, wk: Tensor, wv: Tensor,
                      wout: Tensor) -> ChunkedView:
     """Single-head dot-product attention across the chunk axis."""
     x = view.data  # B x Ch x P x C
-    c = view.chunk_size
-    q = linear(x, wq)
-    k = linear(x, wk)
-    v = linear(x, wv)
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(c))
-    alpha = softmax(scores, axis=-1)  # rows sum to 1 over chunks
-    out = linear(matmul(alpha, v), wout)
+    out = linear(attend(linear(x, wq), linear(x, wk), linear(x, wv)), wout)
     return ChunkedView(out, view.original_length, view.chunk_size, view.hop)
 
 

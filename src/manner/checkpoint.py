@@ -8,6 +8,7 @@ header order (model tensors first, then Adam m/v pairs per trainable).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -46,13 +47,23 @@ def save_checkpoint(path, params: ModelParams, optimizer=None,
         "optimizer": opt_header,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for arr in payloads:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    # Written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint whole. No fsync: surviving a killed
+    # process needs only the rename, not a power cut.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for arr in payloads:
+                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -6,10 +6,12 @@ and which parameters each ablation switch removes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import manner.attention as attention
 from manner.attention import (
     channel_attention,
     global_attention,
@@ -209,20 +211,33 @@ def test_global_attention_identical_chunks_stay_identical():
         np.testing.assert_allclose(out[:, :, i : i + 1, :], single, rtol=1e-10)
 
 
+def block_budgets(p, itemsize):
+    """SCORE_BLOCK_BYTES values that give each block shape attend() can take."""
+    head = p * p * itemsize
+    return {
+        "one block": 1 << 40,
+        "runs of 3 whole heads, then 1": 3 * head,
+        "row runs of P-1, then 1": head - 1,
+        "one row per block": 1,
+    }
+
+
 @pytest.mark.parametrize("seed,p", [(0, 2), (1, 3), (2, 7), (3, 31)])
-def test_global_attention_matches_loops(seed, p):
+def test_global_attention_matches_loops(seed, p, monkeypatch):
     rng = np.random.default_rng(seed + 40)
     x = rng.standard_normal((2, 2, p, 8))
     ws = weights(init_global_attention, rng, 8)
-    out = global_attention(make_view(x), *ws)
     expected = global_attention_loops(x, *(w.data for w in ws))
-    np.testing.assert_allclose(out.data.data, expected, rtol=1e-9)
+    for name, budget in block_budgets(p, 8).items():
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
+        out = global_attention(make_view(x), *ws)
+        np.testing.assert_allclose(out.data.data, expected, rtol=1e-9, err_msg=name)
     assert out.original_length == make_view(x).original_length
 
 
-def test_global_attention_gradcheck():
+def test_global_attention_gradcheck(monkeypatch):
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((1, 2, 3, 4))
+    x = rng.standard_normal((2, 2, 3, 4))  # four heads, so 3-head blocks split them
     ws = weights(init_global_attention, rng, 4)
     view = make_view(x)
 
@@ -230,8 +245,26 @@ def test_global_attention_gradcheck():
         v = ChunkedView(xv, view.original_length, view.chunk_size, view.hop)
         return tsum(global_attention(v, *w).data)
 
-    err = finite_diff_check(f, [view.data] + ws)
-    assert err < 1e-6
+    for name, budget in block_budgets(3, 8).items():
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
+        err = finite_diff_check(f, [view.data] + ws)
+        assert err < 1e-6, name
+
+
+def test_global_attention_score_memory_is_one_block():
+    """A 1024-chunk head has 4 MiB of float32 scores; only one block is live."""
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((1, 4, 1024, 64)).astype(np.float32))
+    ws = registered(init_global_attention, rng, 64, dtype=np.float32).values()
+    view = ChunkedView(x, 1024 * 32 + 32, 64, 32)
+    tracemalloc.start()
+    try:
+        out = global_attention(view, *ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == x.shape
+    assert peak < 2 * attention.SCORE_BLOCK_BYTES + 8 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------

@@ -214,6 +214,33 @@ def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
         assert np.array_equal(loaded[name].data, t.data), name
 
 
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    """A save that dies mid-payload leaves the last good checkpoint whole."""
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, toy_params(seed=3), step=1)
+    before = path.read_bytes()
+
+    real = np.ascontiguousarray
+    calls = []
+
+    def disk_full(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise OSError(28, "No space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", disk_full)
+    with pytest.raises(OSError):
+        save_checkpoint(path, toy_params(seed=4), step=2)
+    monkeypatch.undo()
+
+    assert len(calls) == 5
+    assert path.read_bytes() == before
+    _, _, step, _ = load_checkpoint(path)
+    assert step == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+
+
 # sha256 of save_checkpoint(build_model(cfg, seed=0)) bytes, recorded before
 # the parameter store was flattened: they pin the manifest (names, order,
 # shapes), the seeded init bits and the v1 layout together.
