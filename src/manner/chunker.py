@@ -97,14 +97,14 @@ def merge(view: ChunkedView) -> Tensor:
     p, c = x.shape[-2], x.shape[-1]
     if c != view.chunk_size or view.hop != c // 2:
         raise ValueError("chunked view metadata does not match its data")
-    t = view.original_length
-    padded = (p - 1) * view.hop + c
-    lower = 1 if p == 1 else padded - view.hop + 1
+    t, hop = view.original_length, view.hop
+    padded = (p - 1) * hop + c
+    lower = 1 if p == 1 else padded - hop + 1
     if not lower <= t <= padded:
         raise ValueError(f"original length {t} inconsistent with {p} chunks of {c}")
 
-    cover = _coverage(t, p, c, view.hop).astype(x.dtype)
-    summed = _overlap_add(x.data, view.hop, padded)[..., :t]
+    cover = _coverage(t, p, c, hop).astype(x.dtype)
+    summed = _overlap_add(x.data, hop, padded)[..., :t]
     out = summed / cover
 
     def bwd(g, needs):
@@ -112,7 +112,7 @@ def merge(view: ChunkedView) -> Tensor:
         if padded > t:
             width = [(0, 0)] * (g.ndim - 1) + [(0, padded - t)]
             gpad = np.pad(gpad, width)
-        starts = view.hop * np.arange(p)
+        starts = hop * np.arange(p)
         idx = starts[:, None] + np.arange(c)[None, :]
         return (gpad[..., idx],)
 

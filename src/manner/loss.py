@@ -84,6 +84,7 @@ def stft_magnitude(x: Tensor, cfg: StftConfig) -> Tensor:
     framed = x.data[..., idx] * window
     spec = np.fft.rfft(framed, n=cfg.fft_size, axis=-1)
     mag = np.abs(spec).astype(x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g, needs):
         # dL/d(frame_n) = sum_k Re((g * X/|X|)_k e^{+2pi i kn/N}); interior
@@ -93,7 +94,7 @@ def stft_magnitude(x: Tensor, cfg: StftConfig) -> Tensor:
         half[..., 1:-1] *= 0.5
         gframes = np.fft.irfft(half, n=cfg.fft_size, axis=-1) * cfg.fft_size
         gframes = gframes[..., : cfg.win_length] * window
-        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx = np.zeros(shape, dtype=dtype)
         for f in range(frames):
             start = f * cfg.hop
             gx[..., start : start + cfg.win_length] += gframes[..., f, :]

@@ -193,9 +193,9 @@ def up_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool)
 
 def mask_gate(d: Tensor, params) -> Tensor:
     """m = relu(sigmoid(conv_a(d)) * tanh(conv_b(d))), in [0, 1)."""
-    a = sigmoid(conv1d(d, *conv_tensors(params, "mask.a")))
-    b = tanh(conv1d(d, *conv_tensors(params, "mask.b")))
-    return relu(mul(a, b))
+    # no locals: both halves are freed once their product exists
+    return relu(mul(sigmoid(conv1d(d, *conv_tensors(params, "mask.a"))),
+                    tanh(conv1d(d, *conv_tensors(params, "mask.b")))))
 
 
 def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
@@ -229,7 +229,7 @@ def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
     h = conv1d(h, *conv_tensors(params, "bottleneck"))
 
     for layer in range(config.depth, 0, -1):
-        h = add(h, skips[layer - 1])
+        h = add(h, skips.pop())  # each skip is freed once it is added
         h = rescon(h, params, f"dec{layer}.rescon", training)
         if config.has_attention(layer):
             h = ma_block(h, params, f"dec{layer}.ma", config.chunk_size)

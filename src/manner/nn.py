@@ -94,6 +94,8 @@ def _scatter_windows(y: np.ndarray, stride: int, length: int) -> np.ndarray:
     contiguous; one transpose pass then restores time order.
     """
     kw, t = y.shape[-2:]
+    if kw == 1 and stride == 1:
+        return y[..., 0, :length]
     lead = y.shape[:-2]
     qmax = -(-kw // stride)
     rows = t + qmax
@@ -134,7 +136,8 @@ def conv1d(
     if tout < 1:
         raise ValueError(f"conv1d output length {tout} < 1 (T={t}, K={kw}, S={stride}, P={padding})")
 
-    xp = _pad_time(x.data, padding)
+    xd = x.data
+    xp = _pad_time(xd, padding)
     tp = xp.shape[-1]
     wd = weight.data
     if groups == 1:
@@ -144,7 +147,7 @@ def conv1d(
         # unoptimized einsum reads the window view in place; optimize=True copies it
         out = np.einsum("bckt,ck->bct", _time_windows(xp, kw, stride, tout), wd[:, 0])
     if bias is not None:
-        out = out + bias.data[None, :, None]
+        out += bias.data[None, :, None]
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -162,9 +165,17 @@ def conv1d(
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
-            win = _time_windows(xp, kw, stride, tout)
+            # pad x again rather than keep a padded copy beside the input
+            # array, which the op before (a relu, a mul) usually keeps too
+            win = _time_windows(_pad_time(xd, padding), kw, stride, tout)
             if groups == 1:
-                gw = np.einsum("bot,bckt->ock", g, win, optimize=True)
+                # one [Cin*K, B*T] @ [B*T, Cout] gemm: the product and operand
+                # order einsum(optimize=True) picks, so the float32 rounding is
+                # the same, minus its extra copies; summing per-batch matmuls
+                # over B would round differently
+                gw = np.matmul(win.transpose(1, 2, 0, 3).reshape(cin * kw, -1),
+                               g.transpose(0, 2, 1).reshape(-1, cout))
+                gw = gw.reshape(cin, kw, cout).transpose(2, 0, 1)
             else:
                 gw = np.einsum("bct,bckt->ck", g, win)[:, None, :]
         gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
@@ -205,7 +216,7 @@ def conv_transpose1d(
     if padding:
         out = np.ascontiguousarray(out)
     if bias is not None:
-        out = out + bias.data[None, :, None]
+        out += bias.data[None, :, None]
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     xd = x.data
@@ -292,18 +303,19 @@ def batch_norm(
     if training:
         xhat = (xd - mean[None, :, None]) * inv_std[None, :, None]
         out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+        saved = xhat
     else:
         # Eval stats are constants, so the whole op folds to one affine map.
         scale = (gamma.data * inv_std).astype(xd.dtype)
         shift = (beta.data - gamma.data * mean * inv_std).astype(xd.dtype)
         out = xd * scale[None, :, None]
         out += shift[None, :, None]
-        xhat = None
+        saved = xd  # xhat is rebuilt from x only if gamma needs a gradient
 
     def bwd(g, needs):
-        xh = xhat
-        if xh is None and needs[1]:
-            xh = (xd - mean[None, :, None]) * inv_std[None, :, None]
+        xh = saved
+        if not training and needs[1]:
+            xh = (saved - mean[None, :, None]) * inv_std[None, :, None]
         gb = g.sum(axis=(0, 2)) if needs[2] else None
         gg = (g * xh).sum(axis=(0, 2)) if needs[1] else None
         gx = None
@@ -313,8 +325,8 @@ def batch_norm(
                 # Batch statistics depend on x, so the mean/var paths
                 # contribute too.
                 sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
-                sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-                gx = (gxhat - sum_g / m - xhat * sum_gx / m) * inv_std[None, :, None]
+                sum_gx = (gxhat * xh).sum(axis=(0, 2), keepdims=True)
+                gx = (gxhat - sum_g / m - xh * sum_gx / m) * inv_std[None, :, None]
             else:
                 gx = gxhat * inv_std[None, :, None]
         return (gx, gg, gb, None, None)

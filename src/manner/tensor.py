@@ -161,27 +161,41 @@ class Tensor:
 
 
 class Node:
-    """One recorded primitive application."""
+    """One recorded primitive application: gradient routing, not tensors.
 
-    __slots__ = ("inputs", "output", "backward_fn", "needs", "__weakref__")
+    `parents[i]` is the node that produced input i, the leaf parameter
+    itself, or None for a constant. The output is held weakly, so an
+    intermediate lives only while a caller or a backward closure reads it;
+    `backward_fn` holds exactly what the op's backward formula reads, and
+    backward() drops it once it has run.
+    """
 
-    def __init__(self, inputs, output, backward_fn, needs):
-        self.inputs = inputs
-        self.output = output
+    __slots__ = ("parents", "backward_fn", "needs", "_output", "__weakref__")
+
+    def __init__(self, parents, output: Tensor, backward_fn, needs):
+        self.parents = parents
         self.backward_fn = backward_fn
         self.needs = needs
+        self._output = weakref.ref(output)
+
+    @property
+    def output(self) -> Tensor | None:
+        """The tensor this node produced, while something else keeps it alive."""
+        return self._output()
 
 
 class Tape:
     """Ordered record of primitive applications.
 
     Creation order is a topological order for a define-by-run graph, so
-    backward() walks the list once in reverse.
+    backward() walks the list once in reverse. A tape is single-use: its
+    backward frees what each op saved, so it cannot run a second time.
     """
 
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._leaves: dict[int, Tensor] = {}
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -207,22 +221,31 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _parent(t: Tensor) -> "Node | Tensor | None":
+    """Where an input's gradient goes: its live node, itself as a leaf, or nowhere."""
+    if t._node is not None:
+        return t._node()
+    return t if t.requires_grad else None
+
+
 def apply_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result, recording a node when a tape is active.
 
     `backward_fn(grad, needs)` must return per-input gradients (None where
-    `needs` is False or the input is non-differentiable).
+    `needs` is False or the input is non-differentiable). It should close
+    over only the arrays its formula reads, not over input Tensors: a
+    captured intermediate would live until the tape is dropped.
     """
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
     tape = active_tape()
     if tape is not None and requires:
-        needs = tuple(t.requires_grad or t.from_op for t in inputs)
-        node = Node(tuple(inputs), out, backward_fn, needs)
+        parents = tuple(_parent(t) for t in inputs)
+        node = Node(parents, out, backward_fn, tuple(p is not None for p in parents))
         out._node = weakref.ref(node)
         tape._nodes.append(node)
-        for t in inputs:
-            if t.requires_grad and not t.from_op:
+        for t, p in zip(inputs, parents):
+            if p is t:
                 tape._leaves.setdefault(id(t), t)
     return out
 
@@ -231,20 +254,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` for every leaf on the tape.
 
     Walks the tape once in reverse; leaves the loss never reached get a
-    zero gradient.
+    zero gradient. Gradients are keyed by the id of a node or leaf, both of
+    which the tape keeps alive. Each node's backward_fn is dropped as the
+    walk passes it, which frees what that op saved, so a tape runs once.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if tape.consumed:
+        raise ValueError("this tape's backward has already run; record a new tape to differentiate again")
+    tape.consumed = True
+    root = loss.node if loss.from_op else loss
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(tape._nodes):
-        g = grads.pop(id(node.output), None)
+        fn, node.backward_fn = node.backward_fn, None
+        g = grads.pop(id(node), None)
         if g is None:
             continue
-        input_grads = node.backward_fn(g, node.needs)
-        for t, gt, needed in zip(node.inputs, input_grads, node.needs):
-            if gt is None or not needed:
+        for parent, gt in zip(node.parents, fn(g, node.needs)):
+            if gt is None or parent is None:
                 continue
-            key = id(t)
+            key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + gt
             else:
@@ -305,11 +334,12 @@ def add(a: Tensor, b) -> Tensor:
     a, b = _as_pair(a, b)
     _check_broadcast("add", a.shape, b.shape)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g, needs):
         return (
-            _reduce_to(g, a.shape) if needs[0] else None,
-            _reduce_to(g, b.shape) if needs[1] else None,
+            _reduce_to(g, sa) if needs[0] else None,
+            _reduce_to(g, sb) if needs[1] else None,
         )
 
     return apply_op(out, (a, b), bwd)
@@ -319,11 +349,12 @@ def sub(a: Tensor, b) -> Tensor:
     a, b = _as_pair(a, b)
     _check_broadcast("sub", a.shape, b.shape)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g, needs):
         return (
-            _reduce_to(g, a.shape) if needs[0] else None,
-            _reduce_to(-g, b.shape) if needs[1] else None,
+            _reduce_to(g, sa) if needs[0] else None,
+            _reduce_to(-g, sb) if needs[1] else None,
         )
 
     return apply_op(out, (a, b), bwd)
@@ -333,12 +364,15 @@ def mul(a: Tensor, b) -> Tensor:
     a, b = _as_pair(a, b)
     _check_broadcast("mul", a.shape, b.shape)
     out = a.data * b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    # each operand's array is read only for the other operand's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g, needs):
         return (
-            _reduce_to(g * bd, a.shape) if needs[0] else None,
-            _reduce_to(g * ad, b.shape) if needs[1] else None,
+            _reduce_to(g * bd, sa) if needs[0] else None,
+            _reduce_to(g * ad, sb) if needs[1] else None,
         )
 
     return apply_op(out, (a, b), bwd)
@@ -348,12 +382,14 @@ def div(a: Tensor, b) -> Tensor:
     a, b = _as_pair(a, b)
     _check_broadcast("div", a.shape, b.shape)
     out = a.data / b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data
 
     def bwd(g, needs):
         return (
-            _reduce_to(g / bd, a.shape) if needs[0] else None,
-            _reduce_to(-g * ad / (bd * bd), b.shape) if needs[1] else None,
+            _reduce_to(g / bd, sa) if needs[0] else None,
+            _reduce_to(-g * ad / (bd * bd), sb) if needs[1] else None,
         )
 
     return apply_op(out, (a, b), bwd)
@@ -394,11 +430,12 @@ def maximum(a: Tensor, b) -> Tensor:
     _check_broadcast("maximum", a.shape, b.shape)
     take_a = a.data >= b.data
     out = np.where(take_a, a.data, b.data)
+    sa, sb = a.shape, b.shape
 
     def bwd(g, needs):
         return (
-            _reduce_to(g * take_a, a.shape) if needs[0] else None,
-            _reduce_to(g * ~take_a, b.shape) if needs[1] else None,
+            _reduce_to(g * take_a, sa) if needs[0] else None,
+            _reduce_to(g * ~take_a, sb) if needs[1] else None,
         )
 
     return apply_op(out, (a, b), bwd)
@@ -410,7 +447,7 @@ def maximum(a: Tensor, b) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    return apply_op(out, (a,), lambda g, needs: (g * (a.data > 0),))
+    return apply_op(out, (a,), lambda g, needs: (g * (out > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -550,9 +587,10 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
     if start < 0 or length < 0 or start + length > t:
         raise ValueError(f"narrow [{start}, {start + length}) out of range for {t}")
     out = a.data[..., start : start + length].copy()
+    shape = a.shape
 
     def bwd(g, needs):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         full[..., start : start + length] = g
         return (full,)
 
@@ -572,7 +610,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     out = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g, needs):
         ga = np.matmul(g, bd.swapaxes(-1, -2)) if needs[0] else None

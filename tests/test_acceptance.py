@@ -341,10 +341,15 @@ def test_overfit_one_utterance():
 def test_variant_time_and_memory():
     start = time.perf_counter()
     lengths = list(range(1, 11))
-    rows = {}
-    for variant in ("full", "small"):
-        params = build_model(ModelConfig(variant=variant).validate(), seed=0)
-        rows[variant] = run_bench(params, lengths, runs=3, seed=0).rows
+    models = {variant: build_model(ModelConfig(variant=variant).validate(), seed=0)
+              for variant in ("full", "small")}
+    rows = {variant: [] for variant in models}
+    # the variants alternate per length, so a burst of CPU contention from
+    # another process lands on both sides of each comparison
+    for s in lengths:
+        order = ("full", "small") if s % 2 else ("small", "full")
+        for variant in order:
+            rows[variant] += run_bench(models[variant], [s], runs=3, seed=0).rows
 
     for full_row, small_row in zip(rows["full"], rows["small"]):
         assert small_row.median_ms <= full_row.median_ms, f"at {full_row.length_s}s"

@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from manner.chunker import chunk, merge
+from manner.loss import StftConfig, stft_magnitude
 from manner.nn import (
     ParamInit,
     batch_norm,
@@ -510,13 +512,70 @@ def test_step_graph_is_freed_without_the_cyclic_gc():
         backward(tape, loss)
         assert y.node is not None and y.node.output is y  # for profilers
         ref = weakref.ref(hidden)
+        node_ref = weakref.ref(y.node)
         del hidden
-        assert ref() is not None  # the tape still holds the graph
+        assert ref() is None  # nodes link to parent nodes, not to tensors
         del tape, y, loss
         assert ref() is None
+        assert node_ref() is None
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _bn(h):
+    ones, zeros = np.ones(h.shape[1]), np.zeros(h.shape[1])
+    stats = (Tensor(ones, requires_grad=True), Tensor(zeros, requires_grad=True),
+             Tensor(zeros.copy()), Tensor(ones.copy()))
+    return batch_norm(h, *stats, training=True)
+
+
+FREEING_OPS = {
+    "relu": relu,
+    "add": lambda h: add(h, Tensor(np.ones(h.shape))),
+    "sub": lambda h: Tensor(np.ones(h.shape)) - h,
+    "mul_constant": lambda h: h * 3.0,
+    "narrow": lambda h: narrow(h, 1, 5),
+    "batch_norm_training": _bn,
+    "stft_magnitude": lambda h: stft_magnitude(h, StftConfig(8, 2, 4)),
+    "chunk_merge": lambda h: merge(chunk(h, 4)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FREEING_OPS))
+def test_tape_frees_intermediates_no_backward_reads(op):
+    import weakref
+
+    x = Tensor(np.linspace(-1.0, 1.0, 48).reshape(2, 3, 8), requires_grad=True)
+    with Tape() as tape:
+        hidden = x * 2.0
+        refs = (weakref.ref(hidden), weakref.ref(hidden.data))
+        loss = tsum(sigmoid(FREEING_OPS[op](hidden)))
+        del hidden
+        assert [r() for r in refs] == [None, None]  # freed while the tape lives
+    backward(tape, loss)
+    assert x.grad.shape == x.shape and np.any(x.grad != 0.0)
+
+
+def test_backward_drops_every_saved_closure():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        _dead_branch = y * 2.0  # recorded, but never feeds the loss
+        loss = tsum(relu(x * 2.0))
+    backward(tape, loss)
+    assert len(tape) == 4
+    assert all(node.backward_fn is None for node in tape._nodes)
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(x * x)
+    backward(tape, loss)
+    with pytest.raises(ValueError, match="already run"):
+        backward(tape, loss)
+    np.testing.assert_allclose(x.grad, [2.0, -4.0])  # the first pass only
 
 
 def test_no_silent_broadcast_on_mismatched_shapes():
