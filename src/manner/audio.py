@@ -11,6 +11,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import DataError
+from .nn import time_windows
 
 log = logging.getLogger(__name__)
 
@@ -94,14 +95,11 @@ def segment(samples: np.ndarray, seg: int, hop: int) -> list[np.ndarray]:
     t = len(samples)
     if t < 1:
         raise ValueError("cannot segment an empty signal")
-    out = []
-    for i in range(num_segments(t, seg, hop)):
-        start = i * hop
-        piece = samples[start : start + seg]
-        if len(piece) < seg:
-            piece = np.pad(piece, (0, seg - len(piece)))
-        out.append(piece)
-    return out
+    n = num_segments(t, seg, hop)
+    tail = (n - 1) * hop + seg - t
+    if tail:
+        samples = np.pad(samples, (0, tail))
+    return list(time_windows(samples, seg, hop, n).T)
 
 
 def tempo_perturb(clip: AudioClip, rate: float | None = None,

@@ -101,8 +101,20 @@ def load_checkpoint(path, dtype=np.float32):
             raise CheckpointError(f"{path}: bad model config ({exc})") from exc
         params = build_model(config, seed=None, dtype=dtype)
 
-        entries = header.get("params", [])
-        if [e["name"] for e in entries] != list(params):
+        optimizer = None
+        try:
+            entries = [(e["name"], tuple(e["shape"])) for e in header.get("params", [])]
+            opt = header.get("optimizer")
+            if opt is not None:
+                from .trainer import AdamState
+
+                optimizer = AdamState(beta1=float(opt["beta1"]), beta2=float(opt["beta2"]),
+                                      eps=float(opt["eps"]), t=int(opt["t"]))
+                slot_names = list(opt["params"])
+            step, epoch = int(header.get("step", 0)), int(header.get("epoch", 0))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+        if [name for name, _ in entries] != list(params):
             raise CheckpointError(f"{path}: parameter manifest does not match the architecture")
 
         def read_array(shape, what):
@@ -110,24 +122,15 @@ def load_checkpoint(path, dtype=np.float32):
             raw = _read_exact(f, count * 4, what)
             return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
-        for entry in entries:
-            t = params[entry["name"]]
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
+            t = params[name]
             if shape != t.shape:
-                raise CheckpointError(
-                    f"{path}: shape {shape} for {entry['name']} does not match {t.shape}"
-                )
-            t.data[...] = read_array(shape, entry["name"]).astype(dtype)
+                raise CheckpointError(f"{path}: shape {shape} for {name} does not match {t.shape}")
+            t.data[...] = read_array(shape, name).astype(dtype)
 
-        optimizer = None
-        opt = header.get("optimizer")
-        if opt is not None:
-            from .trainer import AdamState
-
-            optimizer = AdamState(beta1=opt["beta1"], beta2=opt["beta2"],
-                                  eps=opt["eps"], t=opt["t"])
+        if optimizer is not None:
             slots = trainable(params)
-            for name in opt["params"]:
+            for name in slot_names:
                 if name not in slots:
                     raise CheckpointError(f"{path}: optimizer slot {name!r} is not a trainable parameter")
                 shape = slots[name].shape
@@ -137,4 +140,4 @@ def load_checkpoint(path, dtype=np.float32):
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after payload")
 
-    return params, optimizer, int(header.get("step", 0)), int(header.get("epoch", 0))
+    return params, optimizer, step, epoch

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import overlap_add, time_windows
 from .tensor import Tensor, apply_op
 
 
@@ -40,30 +41,6 @@ def _check_chunk_size(chunk_size: int) -> int:
     return chunk_size // 2
 
 
-def _overlap_add(parts: np.ndarray, hop: int, padded: int) -> np.ndarray:
-    """Sum [..., P, C] chunks back onto a [..., padded] axis.
-
-    With 50% overlap, even-indexed chunks tile the axis contiguously and so
-    do odd-indexed ones, which keeps this pure slicing.
-    """
-    c = parts.shape[-1]
-    out = np.zeros(parts.shape[:-2] + (padded,), dtype=parts.dtype)
-    even = parts[..., 0::2, :]
-    n_even = even.shape[-2]
-    out[..., : n_even * c] += even.reshape(even.shape[:-2] + (n_even * c,))
-    odd = parts[..., 1::2, :]
-    n_odd = odd.shape[-2]
-    if n_odd:
-        out[..., hop : hop + n_odd * c] += odd.reshape(odd.shape[:-2] + (n_odd * c,))
-    return out
-
-
-def _coverage(t: int, p: int, chunk_size: int, hop: int) -> np.ndarray:
-    ones = np.ones((p, chunk_size), dtype=np.float64)
-    padded = (p - 1) * hop + chunk_size
-    return _overlap_add(ones, hop, padded)[:t]
-
-
 def chunk(x: Tensor, chunk_size: int) -> ChunkedView:
     """[..., T] -> view of [..., P, C] chunks with 50% overlap."""
     hop = _check_chunk_size(chunk_size)
@@ -77,13 +54,14 @@ def chunk(x: Tensor, chunk_size: int) -> ChunkedView:
     if padded > t:
         width = [(0, 0)] * (xd.ndim - 1) + [(0, padded - t)]
         xd = np.pad(xd, width)
-    starts = hop * np.arange(p)
-    idx = starts[:, None] + np.arange(chunk_size)[None, :]
-    out = xd[..., idx]
+    if p == 1:  # one chunk keeps a gather's time-major layout, and with it the
+        # float32 rounding of its per-row gemv calls (see the README)
+        out = np.moveaxis(np.ascontiguousarray(np.moveaxis(xd, -1, 0)), 0, -1)[..., None, :]
+    else:  # contiguous, so that matmuls over the chunks take the BLAS path
+        out = np.ascontiguousarray(time_windows(xd, chunk_size, hop, p).swapaxes(-1, -2))
 
     def bwd(g, needs):
-        gx = _overlap_add(g, hop, padded)
-        return (gx[..., :t],)
+        return (overlap_add(g.swapaxes(-1, -2), hop, padded)[..., :t],)
 
     data = apply_op(out, (x,), bwd)
     return ChunkedView(data=data, original_length=t, chunk_size=chunk_size, hop=hop)
@@ -103,17 +81,14 @@ def merge(view: ChunkedView) -> Tensor:
     if not lower <= t <= padded:
         raise ValueError(f"original length {t} inconsistent with {p} chunks of {c}")
 
-    cover = _coverage(t, p, c, hop).astype(x.dtype)
-    summed = _overlap_add(x.data, hop, padded)[..., :t]
-    out = summed / cover
+    cover = overlap_add(np.ones((c, p), dtype=x.dtype), hop, padded)[:t]
+    out = overlap_add(x.data.swapaxes(-1, -2), hop, padded)[..., :t] / cover
 
     def bwd(g, needs):
         gpad = g / cover
         if padded > t:
             width = [(0, 0)] * (g.ndim - 1) + [(0, padded - t)]
             gpad = np.pad(gpad, width)
-        starts = hop * np.arange(p)
-        idx = starts[:, None] + np.arange(c)[None, :]
-        return (gpad[..., idx],)
+        return (np.ascontiguousarray(time_windows(gpad, c, hop, p).swapaxes(-1, -2)),)
 
     return apply_op(out, (x,), bwd)

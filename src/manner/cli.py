@@ -79,6 +79,21 @@ def _expand_inputs(raw: list[str]) -> list[Path]:
     return files
 
 
+def _output_paths(files: list[Path], out_dir: Path) -> list[Path]:
+    """out_dir/<name> per input; refuses two inputs of one name and any
+    output that is an input."""
+    inputs = {p.resolve() for p in files}
+    sources: dict[Path, Path] = {}
+    for path in files:
+        target = out_dir / path.name
+        if target in sources:
+            raise DataError(f"{sources[target]} and {path} would both be written to {target}")
+        if target.resolve() in inputs:
+            raise DataError(f"{target} would overwrite an input file; choose another --out")
+        sources[target] = path
+    return list(sources)
+
+
 def _enhance_clip(params, clip: AudioClip) -> np.ndarray:
     x = Tensor(clip.samples[None, None, :])
     y = manner_forward(x, params, params.config, training=False)
@@ -113,11 +128,11 @@ def cmd_enhance(args) -> int:
     params, _, _, _ = load_checkpoint(args.checkpoint)
     files = _expand_inputs(args.inputs)
     out_dir = Path(args.out)
+    targets = _output_paths(files, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in files:
+    for path, target in zip(files, targets):
         clip = ensure_rate(read_wav(path), str(path))
         enhanced = _enhance_clip(params, clip)
-        target = out_dir / path.name
         write_wav(target, AudioClip(enhanced, clip.sample_rate))
         print(f"{path} -> {target}")
     return EXIT_OK

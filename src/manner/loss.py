@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import overlap_add, time_windows
 from .tensor import (
     GRAD_TINY,
     Tensor,
@@ -80,11 +81,9 @@ def stft_magnitude(x: Tensor, cfg: StftConfig) -> Tensor:
         raise ValueError(f"signal length {t} is shorter than window {cfg.win_length}")
     frames = num_frames(t, cfg)
     window = hann_window(cfg.win_length, x.dtype)
-    idx = cfg.hop * np.arange(frames)[:, None] + np.arange(cfg.win_length)[None, :]
-    framed = x.data[..., idx] * window
+    framed = time_windows(x.data, cfg.win_length, cfg.hop, frames).swapaxes(-1, -2) * window
     spec = np.fft.rfft(framed, n=cfg.fft_size, axis=-1)
-    mag = np.abs(spec).astype(x.dtype)
-    shape, dtype = x.shape, x.dtype
+    mag = np.abs(spec).astype(x.dtype, copy=False)
 
     def bwd(g, needs):
         # dL/d(frame_n) = sum_k Re((g * X/|X|)_k e^{+2pi i kn/N}); interior
@@ -93,12 +92,9 @@ def stft_magnitude(x: Tensor, cfg: StftConfig) -> Tensor:
         half = g * ratio
         half[..., 1:-1] *= 0.5
         gframes = np.fft.irfft(half, n=cfg.fft_size, axis=-1) * cfg.fft_size
-        gframes = gframes[..., : cfg.win_length] * window
-        gx = np.zeros(shape, dtype=dtype)
-        for f in range(frames):
-            start = f * cfg.hop
-            gx[..., start : start + cfg.win_length] += gframes[..., f, :]
-        return (gx,)
+        # numpy 1.x transforms float32 in float64; the gradient keeps x's dtype
+        gframes = (gframes[..., : cfg.win_length] * window).astype(window.dtype, copy=False)
+        return (overlap_add(gframes.swapaxes(-1, -2), cfg.hop, t),)
 
     return apply_op(mag, (x,), bwd)
 

@@ -79,32 +79,57 @@ def _pad_time(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, width)
 
 
-def _time_windows(x: np.ndarray, kernel: int, stride: int, count: int) -> np.ndarray:
-    """Read-only [..., kernel, count] view of sliding windows over the last axis."""
+def time_windows(x: np.ndarray, kernel: int, stride: int, count: int) -> np.ndarray:
+    """Read-only [..., kernel, count] view of sliding windows over the last
+    axis: window t holds x[..., stride*t : stride*t + kernel]."""
     st = x.strides[-1]
     shape = x.shape[:-1] + (kernel, count)
     strides = x.strides[:-1] + (st, st * stride)
-    return np.lib.stride_tricks.as_strided(x, shape, strides)
+    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
 
 
-def _scatter_windows(y: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Overlap-add y[..., K, T] at positions k + stride*t, onto [..., length].
+def overlap_add(y: np.ndarray, stride: int, length: int) -> np.ndarray:
+    """Adjoint of time_windows: sums y[..., K, T] at k + stride*t onto [..., length].
 
-    Writes land in a residue-major staging buffer so each slice-add is
-    contiguous; one transpose pass then restores time order.
+    The buffer is in time order, [..., T + ceil(K/stride), stride]; each
+    slice-add writes `stride` taps through its residue-major transpose, so
+    it runs along T. Every position adds its taps in ascending k.
     """
     kw, t = y.shape[-2:]
     if kw == 1 and stride == 1:
         return y[..., 0, :length]
     lead = y.shape[:-2]
     qmax = -(-kw // stride)
-    rows = t + qmax
-    buf = np.zeros(lead + (stride, rows), dtype=y.dtype)
-    for k in range(kw):
-        q, r = divmod(k, stride)
-        buf[..., r, q : q + t] += y[..., k, :]
-    flat = np.swapaxes(buf, -1, -2).reshape(lead + (stride * rows,))
-    return flat[..., :length]
+    buf = np.zeros(lead + (t + qmax, stride), dtype=y.dtype)
+    residues = buf.swapaxes(-1, -2)
+    for q, k in enumerate(range(0, kw, stride)):
+        residues[..., : min(stride, kw - k), q : q + t] += y[..., k : k + stride, :]
+    return buf.reshape(lead + (-1,))[..., :length]
+
+
+def _correlate(xp: np.ndarray, w2: np.ndarray, kernel: int, stride: int, count: int) -> np.ndarray:
+    """Dense correlation w2[Cout, Cin*K] @ windows: [B, Cin, Tp] -> [B, Cout, count]."""
+    return np.matmul(w2, time_windows(xp, kernel, stride, count).reshape(len(xp), -1, count))
+
+
+def _correlate_adjoint(g: np.ndarray, w2: np.ndarray, kernel: int, stride: int,
+                       length: int) -> np.ndarray:
+    """Input-adjoint of _correlate: overlap-adds w2^T g, [B, Cout, T] -> [B, Cin, length]."""
+    b, _, t = g.shape
+    taps = np.matmul(w2.T, g).reshape(b, w2.shape[1] // kernel, kernel, t)
+    return overlap_add(taps, stride, length)
+
+
+def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Weight-adjoint of _correlate: [Cout, Cin*K] from input xp and output gradient g.
+
+    One [Cin*K, B*T] @ [B*T, Cout] gemm, the product einsum(optimize=True)
+    picks, so it rounds alike; per-batch matmuls summed over B would not."""
+    cin, (cout, t) = xp.shape[1], g.shape[1:]
+    win = time_windows(xp, kernel, stride, t)
+    gw = np.matmul(win.transpose(1, 2, 0, 3).reshape(cin * kernel, -1),
+                   g.transpose(0, 2, 1).reshape(-1, cout))
+    return gw.T
 
 
 def conv1d(
@@ -140,12 +165,12 @@ def conv1d(
     xp = _pad_time(xd, padding)
     tp = xp.shape[-1]
     wd = weight.data
+    w2 = wd.reshape(cout, cin_g * kw)
     if groups == 1:
-        cols = _time_windows(xp, kw, stride, tout).reshape(b, cin * kw, tout)
-        out = np.matmul(wd.reshape(cout, cin * kw), cols)
+        out = _correlate(xp, w2, kw, stride, tout)
     else:
         # unoptimized einsum reads the window view in place; optimize=True copies it
-        out = np.einsum("bckt,ck->bct", _time_windows(xp, kw, stride, tout), wd[:, 0])
+        out = np.einsum("bckt,ck->bct", time_windows(xp, kw, stride, tout), wd[:, 0])
     if bias is not None:
         out += bias.data[None, :, None]
 
@@ -155,29 +180,22 @@ def conv1d(
         gx = None
         if needs[0]:
             if groups == 1:
-                y = np.matmul(wd.reshape(cout, cin * kw).T, g).reshape(b, cin, kw, tout)
-                gxp = _scatter_windows(y, stride, tp)
+                gxp = _correlate_adjoint(g, w2, kw, stride, tp)
             else:
                 # full correlation of the stride-dilated gradient with the flipped kernel
                 gd = np.zeros((b, cin, tp + kw - 1), dtype=g.dtype)
                 gd[..., kw - 1 : kw - 1 + (tout - 1) * stride + 1 : stride] = g
-                gxp = np.einsum("bckt,ck->bct", _time_windows(gd, kw, 1, tp), wd[:, 0, ::-1])
+                gxp = np.einsum("bckt,ck->bct", time_windows(gd, kw, 1, tp), wd[:, 0, ::-1])
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
             # pad x again rather than keep a padded copy beside the input
             # array, which the op before (a relu, a mul) usually keeps too
-            win = _time_windows(_pad_time(xd, padding), kw, stride, tout)
+            xp = _pad_time(xd, padding)
             if groups == 1:
-                # one [Cin*K, B*T] @ [B*T, Cout] gemm: the product and operand
-                # order einsum(optimize=True) picks, so the float32 rounding is
-                # the same, minus its extra copies; summing per-batch matmuls
-                # over B would round differently
-                gw = np.matmul(win.transpose(1, 2, 0, 3).reshape(cin * kw, -1),
-                               g.transpose(0, 2, 1).reshape(-1, cout))
-                gw = gw.reshape(cin, kw, cout).transpose(2, 0, 1)
+                gw = _correlate_weight_grad(xp, g, kw, stride).reshape(wd.shape)
             else:
-                gw = np.einsum("bct,bckt->ck", g, win)[:, None, :]
+                gw = np.einsum("bct,bckt->ck", g, time_windows(xp, kw, stride, tout))[:, None, :]
         gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -196,7 +214,7 @@ def conv_transpose1d(
         raise ValueError(f"conv_transpose1d input must be [B, Cin, T], got {x.shape}")
     if weight.ndim != 3:
         raise ValueError(f"conv_transpose1d weight must be [Cin, Cout, K], got {weight.shape}")
-    b, cin, t = x.shape
+    _, cin, t = x.shape
     wcin, cout, kw = weight.shape
     if wcin != cin:
         raise ValueError(f"weight expects {wcin} input channels, input has {cin}")
@@ -209,9 +227,9 @@ def conv_transpose1d(
     if tout < 1:
         raise ValueError(f"conv_transpose1d output length {tout} < 1")
 
-    wd = weight.data
-    y = np.matmul(wd.transpose(1, 2, 0).reshape(cout * kw, cin), x.data).reshape(b, cout, kw, t)
-    full = _scatter_windows(y, stride, tfull)
+    # the input-adjoint of a conv1d with weight w2: forward and backward swap roles
+    w2 = weight.data.reshape(cin, cout * kw)
+    full = _correlate_adjoint(x.data, w2, kw, stride, tfull)
     out = full[..., padding : padding + tout]
     if padding:
         out = np.ascontiguousarray(out)
@@ -222,15 +240,9 @@ def conv_transpose1d(
     xd = x.data
 
     def bwd(g, needs):
-        gfull = np.zeros((b, cout, tfull), dtype=g.dtype)
-        gfull[..., padding : padding + tout] = g
-        gcols = _time_windows(gfull, kw, stride, t)  # [B, Cout, K, T]
-        gx = None
-        if needs[0]:
-            gx = np.matmul(wd.reshape(cin, cout * kw), gcols.reshape(b, cout * kw, t))
-        gw = None
-        if needs[1]:
-            gw = np.einsum("bit,bokt->iok", xd, gcols, optimize=True)
+        gp = _pad_time(g, padding)
+        gx = _correlate(gp, w2, kw, stride, t) if needs[0] else None
+        gw = _correlate_weight_grad(gp, xd, kw, stride).reshape(cin, cout, kw) if needs[1] else None
         gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 

@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance-checklist summary."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,19 @@ def corpus_dirs(tmp_path, rng):
         write_wav(noisy_dir / f"utt{i}.wav", noisy)
         write_wav(clean_dir / f"utt{i}.wav", clean)
     return noisy_dir, clean_dir
+
+
+@pytest.fixture
+def rewrite_header():
+    """rewrite(path, edit): applies `edit` to the decoded JSON header of a
+    checkpoint file in place, keeping its payload."""
+
+    def rewrite(path, edit):
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20 : 20 + hlen])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen :])
+
+    return rewrite

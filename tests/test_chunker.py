@@ -214,6 +214,33 @@ def test_merge_gradient_splits_by_coverage():
     np.testing.assert_allclose(parts.grad[1], scaled[32:], rtol=1e-12)
 
 
+def test_chunk_and_merge_gradient_are_c_contiguous():
+    """Chunks feed matmuls, which take the BLAS path only on a plain
+    layout; a gathered [P, C, B, Ch]-major array falls to the slow loop."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((2, 40, 1000)).astype(np.float32))
+    assert chunk(x, 64).data.data.flags.c_contiguous
+    parts = Tensor(rng.standard_normal((2, 3, 31, 64)).astype(np.float32), requires_grad=True)
+    view = ChunkedView(data=parts, original_length=1000, chunk_size=64, hop=32)
+    with Tape() as tape:
+        loss = tsum(merge(view) * Tensor(rng.standard_normal((2, 3, 1000)).astype(np.float32)))
+    backward(tape, loss)
+    assert parts.grad.shape == parts.shape
+    assert parts.grad.flags.c_contiguous
+
+
+
+def test_single_chunk_stays_time_major():
+    """One chunk feeds per-row gemv calls on any layout; it keeps the
+    time-major layout whose float32 rounding the precision baseline of
+    demos/grad_precision.py was measured with."""
+    x = np.random.default_rng(6).standard_normal((2, 5, 50)).astype(np.float32)
+    data = chunk(Tensor(x), 64).data.data
+    assert data.shape == (2, 5, 1, 64)
+    assert data.strides[-1] == 2 * 5 * data.itemsize
+    np.testing.assert_array_equal(data[..., 0, :50], x)
+    np.testing.assert_array_equal(data[..., 0, 50:], 0.0)
+
 # ---------------------------------------------------------------------
 # rejects
 

@@ -285,6 +285,37 @@ def test_enhance_corrupt_checkpoint_exits_3(tmp_path, corpus_dirs, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_enhance_checkpoint_entry_without_shape_exits_3(tmp_path, corpus_dirs, rewrite_header,
+                                                        capsys):
+    noisy, _ = corpus_dirs
+    ckpt = toy_checkpoint(tmp_path)
+    rewrite_header(ckpt, lambda h: h["params"][0].pop("shape"))
+    out = tmp_path / "enh"
+    assert main(["enhance", str(noisy), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+    assert "malformed header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enhance_two_inputs_with_one_name_exits_3(tmp_path, corpus_dirs, capsys):
+    """Two directories both holding utt0.wav would write one output twice."""
+    noisy, clean = corpus_dirs
+    ckpt = toy_checkpoint(tmp_path)
+    out = tmp_path / "enh"
+    assert main(["enhance", str(noisy), str(clean), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 3
+    assert "would both be written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enhance_out_over_an_input_exits_3(tmp_path, corpus_dirs, capsys):
+    noisy, _ = corpus_dirs
+    before = {p.name: p.read_bytes() for p in noisy.glob("*.wav")}
+    ckpt = toy_checkpoint(tmp_path)
+    assert main(["enhance", str(noisy), "--checkpoint", str(ckpt), "--out", str(noisy)]) == 3
+    assert "would overwrite an input" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in noisy.glob("*.wav")} == before
+
+
 # ------------------------------------------------------------------- eval
 
 def test_eval_table_and_csv(tmp_path, corpus_dirs, capsys):

@@ -20,7 +20,7 @@ from manner.loss import (
     stft_magnitude,
     weighted_total_loss,
 )
-from manner.tensor import Tensor, finite_diff_check, tsum
+from manner.tensor import Tape, Tensor, backward, finite_diff_check, tsum
 
 # ---------------------------------------------------------------------
 # oracles
@@ -145,6 +145,28 @@ def test_stft_magnitude_gradcheck():
     cfg = StftConfig(32, 8, 16).validate()
     err = finite_diff_check(lambda v: tsum(stft_magnitude(v, cfg)), [x])
     assert err < 1e-6
+
+
+def test_stft_magnitude_is_c_contiguous():
+    """Frames are laid out frame-major, so reductions over the magnitudes
+    run over plain memory."""
+    x = np.random.default_rng(2).standard_normal((2, 16000)).astype(np.float32)
+    mag = stft_magnitude(Tensor(x), default_resolutions()[0]).data
+    assert mag.dtype == np.float32
+    assert mag.flags.c_contiguous
+
+
+def test_stft_magnitude_float32_gradient_stays_float32(monkeypatch):
+    """numpy 1.x runs float32 transforms in float64; the input gradient
+    must come back as float32 all the same, or float64 spreads up the
+    model's backward into every parameter gradient."""
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k).astype(np.float64))
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 400)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(stft_magnitude(x, StftConfig(64, 16, 32).validate()))
+    backward(tape, loss)
+    assert x.grad.dtype == np.float32
 
 
 # ---------------------------------------------------------------------
@@ -358,6 +380,21 @@ def test_weighted_total_gradcheck():
     err = finite_diff_check(f, [est], max_checks_per_input=48,
                             rng=np.random.default_rng(0))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_total_float32_matches_float64(seed):
+    """On 2 x 1 s signals at the default resolutions the float32 loss stays
+    within 3e-7 of float64: the magnitude sums reduce pairwise over
+    contiguous memory."""
+    rng = np.random.default_rng(seed)
+    clean = 0.1 * rng.standard_normal((2, 16000))
+    noisy = clean + 0.05 * rng.standard_normal((2, 16000))
+    est = clean + 0.02 * rng.standard_normal((2, 16000))
+    signals = [a.astype(np.float32) for a in (noisy, clean, est)]
+    l32 = weighted_total_loss(*(Tensor(a) for a in signals))[0].item()
+    l64 = weighted_total_loss(*(Tensor(a.astype(np.float64)) for a in signals))[0].item()
+    assert abs(l32 - l64) <= 3e-7 * abs(l64)
 
 
 # ---------------------------------------------------------------------

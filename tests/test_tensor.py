@@ -20,6 +20,8 @@ from manner.nn import (
     conv_transpose1d,
     conv_transpose_out_length,
     linear,
+    overlap_add,
+    time_windows,
 )
 from manner.tensor import (
     Tape,
@@ -193,6 +195,56 @@ def test_depthwise_forward_copies_no_windows():
         tracemalloc.stop()
     assert out.shape == x.shape
     assert peak < 4 * x.data.nbytes
+
+
+# ---------------------------------------------------------------------
+# the window view and its adjoint, overlap-add
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4, 32, 50])
+@pytest.mark.parametrize("kw", [1, 3, 7, 8, 31, 64, 240])
+def test_overlap_add_is_adjoint_of_time_windows(kw, stride):
+    """<time_windows(x), y> == <x, overlap_add(y)>, K < stride included; the
+    stride-1 tail samples no window reads get a zero."""
+    count = 5
+    length = (count - 1) * stride + kw + stride - 1
+    rng = np.random.default_rng(kw * 100 + stride)
+    x = rng.standard_normal((2, 3, length))
+    y = rng.standard_normal((2, 3, kw, count))
+    back = overlap_add(y, stride, length)
+    assert back.shape == x.shape
+    lhs = float(np.sum(time_windows(x, kw, stride, count) * y))
+    rhs = float(np.sum(x * back))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    np.testing.assert_array_equal(back[..., length - stride + 1 :], 0.0)
+
+
+@pytest.mark.parametrize(
+    "shape,stride",
+    [((2, 5, 8, 40), 4), ((1, 3, 31, 50), 1), ((2, 3, 64, 9), 32), ((2, 240, 30), 50), ((3, 2, 7), 9)],
+)
+def test_overlap_add_float32_bits_match_per_tap_loop(shape, stride):
+    """Each position adds its taps in ascending k, so float32 sums round
+    exactly as a direct loop over the taps does."""
+    rng = np.random.default_rng(len(shape) * 7 + stride)
+    y = rng.standard_normal(shape).astype(np.float32)
+    kw, count = shape[-2:]
+    length = (count - 1) * stride + kw
+    want = np.zeros(shape[:-2] + (length,), dtype=np.float32)
+    for k in range(kw):
+        want[..., k : k + (count - 1) * stride + 1 : stride] += y[..., k, :]
+    got = overlap_add(y, stride, length)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
+
+
+def test_time_windows_view_is_read_only():
+    x = np.arange(12.0).reshape(1, 12)
+    win = time_windows(x, 4, 2, 5)
+    np.testing.assert_array_equal(win[0, :, 1], x[0, 2:6])
+    with pytest.raises(ValueError):
+        win[0, 0, 0] = -1.0
+    assert x[0, 0] == 0.0
 
 
 def test_conv1d_rejects_bad_shapes():

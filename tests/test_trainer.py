@@ -320,6 +320,34 @@ def test_checkpoint_rejects_corrupt_header(tmp_path):
         load_checkpoint(path)
 
 
+MALFORMED_HEADERS = {
+    "entry-without-shape": lambda h: h["params"][0].pop("shape"),
+    "entry-without-name": lambda h: h["params"][1].pop("name"),
+    "entry-not-an-object": lambda h: h["params"].__setitem__(0, 3),
+    "params-a-mapping": lambda h: h.__setitem__("params", {"a": {"name": "a", "shape": [1]}}),
+    "params-a-number": lambda h: h.__setitem__("params", 7),
+    "optimizer-without-beta1": lambda h: h["optimizer"].pop("beta1"),
+    "optimizer-without-t": lambda h: h["optimizer"].pop("t"),
+    "optimizer-without-params": lambda h: h["optimizer"].pop("params"),
+    "optimizer-a-list": lambda h: h.__setitem__("optimizer", [0.9, 0.999]),
+    "step-not-a-number": lambda h: h.__setitem__("step", "ten"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_rejects_malformed_header(tmp_path, rewrite_header, case):
+    """A header that parses as JSON but lacks a field raises CheckpointError,
+    never a bare KeyError or TypeError."""
+    params = toy_params()
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, params, init_adam(params), step=3, epoch=1)
+    rewrite_header(path, lambda h: None)
+    assert load_checkpoint(path)[2:] == (3, 1)  # the rewrite alone keeps it loadable
+    rewrite_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="no such checkpoint"):
         load_checkpoint(tmp_path / "absent.ckpt")
