@@ -27,7 +27,7 @@ from .model import ModelConfig, build_model, manner_forward, num_params  # noqa:
 from .loss import StftConfig, combined_loss, multires_stft_loss, stft_loss, weighted_total_loss  # noqa: E402
 from .audio import AudioClip, pair_corpus, read_wav, segment, tempo_perturb, write_wav  # noqa: E402
 from .metrics import si_snr  # noqa: E402
-from .trainer import ScheduleConfig, TrainSettings, adam_step, init_adam, onecycle_lr, train  # noqa: E402
+from .trainer import TrainSettings, adam_step, init_adam, onecycle_lr, train  # noqa: E402
 from .checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "AudioClip",
     "ChunkedView",
     "ModelConfig",
-    "ScheduleConfig",
     "StftConfig",
     "Tape",
     "Tensor",

@@ -73,22 +73,16 @@ def run_bench(
 
 
 def format_table(reports: list[BenchReport]) -> str:
-    """Human-readable summary, variants side by side when comparable."""
+    """Human-readable summary, variants side by side; all reports share one list of lengths."""
     lines = []
     header = f"{'length_s':>8}"
     for rep in reports:
         header += f" | {rep.variant + ' ms':>12} {rep.variant + ' MiB':>12}"
     lines.append(header)
     lines.append("-" * len(header))
-    n = max(len(rep.rows) for rep in reports)
-    for i in range(n):
-        first = next(rep.rows[i] for rep in reports if i < len(rep.rows))
-        line = f"{first.length_s:>8}"
-        for rep in reports:
-            if i < len(rep.rows):
-                row = rep.rows[i]
-                line += f" | {row.median_ms:>12.1f} {row.peak_bytes / 2**20:>12.1f}"
-            else:
-                line += f" | {'-':>12} {'-':>12}"
+    for rows in zip(*(rep.rows for rep in reports)):
+        line = f"{rows[0].length_s:>8}"
+        for row in rows:
+            line += f" | {row.median_ms:>12.1f} {row.peak_bytes / 2**20:>12.1f}"
         lines.append(line)
     return "\n".join(lines)

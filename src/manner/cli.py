@@ -17,7 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from .audio import AudioClip, ensure_rate, pair_corpus, read_wav, write_wav
 from .checkpoint import load_checkpoint
-from .config import default_run_config, parse_run_config
+from .config import RunConfig, parse_run_config
 from .errors import ConfigError, DataError, MannerError
 from .metrics import si_snr
 from .model import build_model, manner_forward
@@ -193,7 +193,7 @@ def cmd_bench(args) -> int:
     if args.checkpoint is not None:
         builders = [lambda: load_checkpoint(args.checkpoint)[0]]
     else:
-        cfg = parse_run_config(args.config) if args.config else default_run_config()
+        cfg = parse_run_config(args.config) if args.config else RunConfig()
         variants = [args.variant] if args.variant != "both" else ["full", "small"]
         configs = [replace(cfg.model, variant=v).validate() for v in variants]
         builders = [lambda mc=mc: build_model(mc, seed=args.seed) for mc in configs]

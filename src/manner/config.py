@@ -1,30 +1,27 @@
 """Sectioned key=value run configuration with strict schema validation.
 
-Unknown sections or keys are rejected, every value is type-checked, and
-semantic validation (model/trainer invariants) runs before anything heavy
-is allocated.
+The keys of [model], [trainer] and [data] are the fields of ModelConfig,
+TrainSettings and RunConfig's paths. Unknown sections or keys are rejected,
+every value is type-checked, and semantic validation (model/trainer
+invariants) runs before anything heavy is allocated.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .loss import StftConfig, default_resolutions
 from .model import ModelConfig
 from .trainer import TrainSettings
 
-_BOOL_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
 
 def _to_bool(raw: str) -> bool:
     try:
-        return _BOOL_STATES[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {raw!r}")
 
@@ -32,54 +29,14 @@ def _to_bool(raw: str) -> bool:
 def _to_resolutions(raw: str) -> tuple[StftConfig, ...]:
     out = []
     for part in raw.split(","):
-        fields = part.strip().split(":")
-        if len(fields) != 3:
+        nums = part.strip().split(":")
+        if len(nums) != 3:
             raise ValueError(f"resolution must be fft:hop:win, got {part.strip()!r}")
-        fft, hop, win = (int(x) for x in fields)
+        fft, hop, win = (int(x) for x in nums)
         out.append(StftConfig(fft_size=fft, hop=hop, win_length=win).validate())
     if not out:
         raise ValueError("at least one resolution required")
     return tuple(out)
-
-
-# section -> key -> (converter, attribute)
-_SCHEMA = {
-    "model": {
-        "kernel_size": int,
-        "stride": int,
-        "base_channels": int,
-        "depth": int,
-        "chunk_size": int,
-        "variant": str,
-        "channel_attention": _to_bool,
-        "global_attention": _to_bool,
-        "local_attention": _to_bool,
-    },
-    "trainer": {
-        "epochs": int,
-        "batch_size": int,
-        "seed": int,
-        "segment_seconds": float,
-        "hop_seconds": float,
-        "tempo_augment": _to_bool,
-        "weighted_loss": _to_bool,
-        "lr_min": float,
-        "lr_max": float,
-        "warmup_frac": float,
-        "cycle_per_epoch": _to_bool,
-        "val_every": int,
-        "max_steps": int,
-    },
-    "data": {
-        "noisy_dir": str,
-        "clean_dir": str,
-        "val_noisy_dir": str,
-        "val_clean_dir": str,
-    },
-    "loss": {
-        "resolutions": _to_resolutions,
-    },
-}
 
 
 @dataclass
@@ -93,8 +50,14 @@ class RunConfig:
     resolutions: tuple[StftConfig, ...] = field(default_factory=default_resolutions)
 
 
-def default_run_config() -> RunConfig:
-    return RunConfig()
+# A field's declared type picks the converter for its key.
+_CONVERTERS = {int: int, float: float, str: str, str | None: str, bool: _to_bool}
+
+
+def _keys(cls) -> dict:
+    """key -> converter for every field of `cls` with a plain declared type."""
+    hints = get_type_hints(cls)
+    return {f.name: _CONVERTERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _CONVERTERS}
 
 
 def parse_run_config(path) -> RunConfig:
@@ -110,10 +73,17 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     cfg = RunConfig()
+    # section -> (object its keys are set on, key -> converter)
+    sections = {
+        "model": (cfg.model, _keys(ModelConfig)),
+        "trainer": (cfg.trainer, _keys(TrainSettings)),
+        "data": (cfg, _keys(RunConfig)),
+        "loss": (cfg, {"resolutions": _to_resolutions}),
+    }
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        schema = _SCHEMA[section]
+        target, schema = sections[section]
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
@@ -121,14 +91,7 @@ def parse_run_config(path) -> RunConfig:
                 value = schema[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
-            if section == "model":
-                setattr(cfg.model, key, value)
-            elif section == "trainer":
-                setattr(cfg.trainer, key, value)
-            elif section == "data":
-                setattr(cfg, key, value)
-            else:
-                cfg.resolutions = value
+            setattr(target, key, value)
 
     try:
         cfg.model.validate()

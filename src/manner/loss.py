@@ -217,35 +217,28 @@ def weighted_total_loss(
         )
 
     clean_vec, clean_parts = combined_loss(clean, estimate, resolutions)
-    if not weighted:
+    if weighted:
+        noise = sub(noisy, clean)
+        noise_est = sub(noisy, estimate)
+        noise_vec, _ = combined_loss(noise, noise_est, resolutions)
+
+        # alpha depends only on fixed signals, so it is a constant weight.
+        e_clean = np.sum(clean.data.astype(np.float64) ** 2, axis=-1)
+        e_noise = np.sum(noise.data.astype(np.float64) ** 2, axis=-1)
+        denom = e_clean + e_noise
+        alpha = np.where(denom > 0.0, e_clean / np.maximum(denom, GRAD_TINY), 0.5)
+        alpha_t = Tensor(alpha.astype(clean.dtype))
+        rest_t = Tensor((1.0 - alpha).astype(clean.dtype))
+        total = tmean(mul(alpha_t, clean_vec) + mul(rest_t, noise_vec))
+        mean_alpha = float(np.mean(alpha))
+    else:
         total = tmean(clean_vec)
-        report = LossReport(
-            total=total.item(),
-            l1=clean_parts["l1"],
-            sc=tuple(s for s, _ in clean_parts["terms"]),
-            mag=tuple(m for _, m in clean_parts["terms"]),
-            alpha=1.0,
-        )
-        return total, report
-
-    noise = sub(noisy, clean)
-    noise_est = sub(noisy, estimate)
-    noise_vec, _ = combined_loss(noise, noise_est, resolutions)
-
-    # alpha depends only on fixed signals, so it is a constant weight.
-    e_clean = np.sum(clean.data.astype(np.float64) ** 2, axis=-1)
-    e_noise = np.sum(noise.data.astype(np.float64) ** 2, axis=-1)
-    denom = e_clean + e_noise
-    alpha = np.where(denom > 0.0, e_clean / np.maximum(denom, GRAD_TINY), 0.5)
-    alpha_t = Tensor(alpha.astype(clean.dtype))
-    rest_t = Tensor((1.0 - alpha).astype(clean.dtype))
-
-    total = tmean(mul(alpha_t, clean_vec) + mul(rest_t, noise_vec))
+        mean_alpha = 1.0
     report = LossReport(
         total=total.item(),
         l1=clean_parts["l1"],
         sc=tuple(s for s, _ in clean_parts["terms"]),
         mag=tuple(m for _, m in clean_parts["terms"]),
-        alpha=float(np.mean(alpha)),
+        alpha=mean_alpha,
     )
     return total, report

@@ -7,7 +7,7 @@ convolution's output before the final 1-channel projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,17 +63,7 @@ class ModelConfig:
         return self.variant == "full" or layer == self.depth
 
     def to_dict(self) -> dict:
-        return {
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "base_channels": self.base_channels,
-            "depth": self.depth,
-            "chunk_size": self.chunk_size,
-            "variant": self.variant,
-            "channel_attention": self.channel_attention,
-            "global_attention": self.global_attention,
-            "local_attention": self.local_attention,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

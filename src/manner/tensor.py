@@ -419,11 +419,6 @@ def tsqrt(a: Tensor) -> Tensor:
     return apply_op(root, (a,), lambda g, needs: (g / denom,))
 
 
-def texp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return apply_op(out, (a,), lambda g, needs: (g * out,))
-
-
 def maximum(a: Tensor, b) -> Tensor:
     """Elementwise max; gradient follows the winning operand (ties to a)."""
     a, b = _as_pair(a, b)

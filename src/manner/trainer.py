@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import CorpusPair, ensure_rate, num_segments, segment, tempo_perturb
+from .audio import TARGET_RATE, CorpusPair, ensure_rate, num_segments, segment, tempo_perturb
 from .checkpoint import save_checkpoint
 from .errors import TrainingDiverged
 from .loss import LossReport, StftConfig, default_resolutions, weighted_total_loss
@@ -21,52 +21,6 @@ from .model import ModelParams, manner_forward, trainable
 from .tensor import Tape, Tensor, backward, reshape
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ScheduleConfig:
-    """One-cycle shape: cosine ramp to lr_max, cosine anneal back to lr_min."""
-
-    lr_min: float = 1e-5
-    lr_max: float = 1e-2
-    warmup_frac: float = 0.3
-    total_steps: int = 1
-    cycle_per_epoch: bool = False
-    steps_per_epoch: int = 0
-
-    def validate(self) -> "ScheduleConfig":
-        if not 0.0 < self.lr_min < self.lr_max:
-            raise ValueError(f"need 0 < lr_min < lr_max, got {self.lr_min}/{self.lr_max}")
-        if not 0.0 < self.warmup_frac < 1.0:
-            raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.cycle_per_epoch and self.steps_per_epoch < 1:
-            raise ValueError("cycle_per_epoch needs steps_per_epoch >= 1")
-        return self
-
-
-def onecycle_lr(step: int, cfg: ScheduleConfig) -> float:
-    """Learning rate at `step`; endpoints hit lr_min/lr_max exactly."""
-    cfg.validate()
-    if cfg.cycle_per_epoch:
-        if step < 0:
-            raise ValueError(f"step {step} out of range")
-        horizon = cfg.steps_per_epoch
-        s = step % horizon
-    else:
-        horizon = cfg.total_steps
-        if not 0 <= step <= horizon:
-            raise ValueError(f"step {step} out of range [0, {horizon}]")
-        s = step
-    span = cfg.lr_max - cfg.lr_min
-    warm = cfg.warmup_frac * horizon
-    if s <= warm and warm > 0:
-        return cfg.lr_min + span * 0.5 * (1.0 - math.cos(math.pi * s / warm))
-    if horizon == warm:
-        return cfg.lr_max
-    frac = (s - warm) / (horizon - warm)
-    return cfg.lr_min + span * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 @dataclass
@@ -81,9 +35,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(params, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params) -> AdamState:
+    state = AdamState()
     for name, t in trainable(params).items():
         state.m[name] = np.zeros_like(t.data)
         state.v[name] = np.zeros_like(t.data)
@@ -137,10 +90,42 @@ class TrainSettings:
             raise ValueError("epochs, batch_size, and val_every must be >= 1")
         if not 0.0 < self.hop_seconds <= self.segment_seconds:
             raise ValueError(f"need 0 < hop <= segment, got {self.hop_seconds}/{self.segment_seconds}")
+        if round(self.hop_seconds * TARGET_RATE) < 1:  # hop <= segment, so this bounds both
+            raise ValueError(f"hop and segment must each be at least one sample at {TARGET_RATE} Hz, "
+                             f"got {self.hop_seconds}/{self.segment_seconds}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        ScheduleConfig(self.lr_min, self.lr_max, self.warmup_frac).validate()
+        if not 0.0 < self.lr_min < self.lr_max:
+            raise ValueError(f"need 0 < lr_min < lr_max, got {self.lr_min}/{self.lr_max}")
+        if not 0.0 < self.warmup_frac < 1.0:
+            raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
         return self
+
+
+def onecycle_lr(step: int, settings: TrainSettings, steps_per_epoch: int) -> float:
+    """One-cycle LR at `step`: cosine ramp to lr_max, cosine anneal back to lr_min.
+
+    The cycle spans epochs * steps_per_epoch steps, or one epoch with
+    cycle_per_epoch; endpoints hit lr_min/lr_max exactly.
+    """
+    if settings.cycle_per_epoch:
+        if step < 0:
+            raise ValueError(f"step {step} out of range")
+        horizon = steps_per_epoch
+        s = step % horizon
+    else:
+        horizon = max(1, settings.epochs * steps_per_epoch)
+        if not 0 <= step <= horizon:
+            raise ValueError(f"step {step} out of range [0, {horizon}]")
+        s = step
+    span = settings.lr_max - settings.lr_min
+    warm = settings.warmup_frac * horizon
+    if s <= warm and warm > 0:
+        return settings.lr_min + span * 0.5 * (1.0 - math.cos(math.pi * s / warm))
+    if horizon == warm:
+        return settings.lr_max
+    frac = (s - warm) / (horizon - warm)
+    return settings.lr_min + span * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 @dataclass
@@ -219,14 +204,8 @@ def train(
     hop = int(round(settings.hop_seconds * sample_rate))
     base_segments = sum(num_segments(len(p.noisy.samples), seg, hop) for p in corpus)
     steps_per_epoch = math.ceil(base_segments / settings.batch_size)
-    sched = ScheduleConfig(
-        lr_min=settings.lr_min,
-        lr_max=settings.lr_max,
-        warmup_frac=settings.warmup_frac,
-        total_steps=max(1, settings.epochs * steps_per_epoch),
-        cycle_per_epoch=settings.cycle_per_epoch,
-        steps_per_epoch=steps_per_epoch,
-    ).validate()
+    # Tempo augmentation can add segments, so steps may run past the horizon.
+    total_steps = settings.epochs * steps_per_epoch
 
     state = adam_state if adam_state is not None else init_adam(params)
 
@@ -259,7 +238,7 @@ def train(
                 batch = [pieces[i] for i in order[b0 : b0 + settings.batch_size]]
                 x = np.stack([n for n, _ in batch])
                 y = np.stack([c for _, c in batch])
-                lr = onecycle_lr(min(state.t, sched.total_steps), sched)
+                lr = onecycle_lr(min(state.t, total_steps), settings, steps_per_epoch)
 
                 with Tape() as tape:
                     est = manner_forward(Tensor(x[:, None, :]), params, params.config, training=True)

@@ -4,17 +4,20 @@ CLI tests drive main() in-process and assert on exit codes plus the files
 each subcommand leaves behind. A toy model keeps every run under a second.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from manner.audio import AudioClip, read_wav, write_wav
 from manner.checkpoint import save_checkpoint
 from manner.cli import main
-from manner.config import default_run_config, parse_run_config
+from manner.config import RunConfig, parse_run_config
 from manner.errors import ConfigError
 from manner.loss import default_resolutions
 from manner.metrics import si_snr
 from manner.model import ModelConfig, build_model
+from manner.trainer import TrainSettings
 
 TOY_MODEL = "[model]\nbase_channels = 6\ndepth = 2\nchunk_size = 8\n"
 
@@ -49,7 +52,7 @@ def toy_checkpoint(tmp_path, name="toy.ckpt"):
 
 def test_empty_config_gives_defaults(tmp_path):
     cfg = parse_run_config(write_cfg(tmp_path, ""))
-    ref = default_run_config()
+    ref = RunConfig()
     assert cfg.model.to_dict() == ref.model.to_dict()
     assert cfg.trainer == ref.trainer
     assert cfg.noisy_dir is None and cfg.clean_dir is None
@@ -114,6 +117,12 @@ def test_config_bool_spellings(tmp_path, raw, expected):
     ("[model]\nbase_channels = 8\n", "multiple of 6"),
     ("[trainer]\nsegment_seconds = 1.0\nhop_seconds = 2.0\n", "hop"),
     ("[trainer]\nlr_min = 0.1\nlr_max = 0.01\n", "lr"),
+    ("[trainer]\nsegment_seconds = 0.25\nhop_seconds = 0.00001\n", "one sample"),
+    ("[trainer]\nsegment_seconds = 0.00001\nhop_seconds = 0.00001\n", "one sample"),
+    ("[data]\nmodel = full\n", "unknown key"),
+    ("[data]\nresolutions = 64:16:32\n", "unknown key"),
+    ("[trainer]\ntotal_steps = 10\n", "unknown key"),
+    ("[trainer]\nsteps_per_epoch = 10\n", "unknown key"),
     ("key_without_section = 1\n", "section"),
 ])
 def test_config_rejects(tmp_path, text, fragment):
@@ -129,6 +138,16 @@ def test_config_missing_file(tmp_path):
 def test_config_no_interpolation(tmp_path):
     cfg = parse_run_config(write_cfg(tmp_path, "[data]\nnoisy_dir = /tmp/%dir\n"))
     assert cfg.noisy_dir == "/tmp/%dir"
+
+
+def test_readme_run_file_parses_to_defaults(tmp_path):
+    """The README's example run file is accepted and lists every default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_run_config(write_cfg(tmp_path, text))
+    assert cfg.model == ModelConfig()
+    assert cfg.trainer == TrainSettings()
+    assert cfg.resolutions == default_resolutions()
 
 
 # ------------------------------------------------------------- arg errors

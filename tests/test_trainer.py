@@ -18,7 +18,6 @@ from manner.model import ModelConfig, build_model, num_params
 from manner.tensor import Tensor
 from manner.trainer import (
     AdamState,
-    ScheduleConfig,
     TrainSettings,
     adam_step,
     init_adam,
@@ -92,36 +91,41 @@ def test_adam_rejects_shape_mismatch():
 
 
 def test_onecycle_endpoints_are_exact():
-    cfg = ScheduleConfig(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.3, total_steps=100)
-    assert onecycle_lr(0, cfg) == 1e-5
-    assert abs(onecycle_lr(30, cfg) - 1e-2) < 1e-15
-    assert abs(onecycle_lr(100, cfg) - 1e-5) < 1e-15
+    cfg = TrainSettings(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.3)
+    assert onecycle_lr(0, cfg, 100) == 1e-5
+    assert abs(onecycle_lr(30, cfg, 100) - 1e-2) < 1e-15
+    assert abs(onecycle_lr(100, cfg, 100) - 1e-5) < 1e-15
 
 
 def test_onecycle_rises_then_falls():
-    cfg = ScheduleConfig(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.3, total_steps=100)
-    values = [onecycle_lr(s, cfg) for s in range(101)]
+    cfg = TrainSettings(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.3)
+    values = [onecycle_lr(s, cfg, 100) for s in range(101)]
     assert all(b > a for a, b in zip(values[:30], values[1:31]))
     assert all(b < a for a, b in zip(values[30:100], values[31:101]))
     assert max(values) <= 1e-2 + 1e-15
     assert min(values) >= 1e-5 - 1e-18
 
 
+def test_onecycle_horizon_spans_every_epoch():
+    cfg = TrainSettings(epochs=4, lr_min=1e-5, lr_max=1e-2, warmup_frac=0.3)
+    assert abs(onecycle_lr(30, cfg, 25) - 1e-2) < 1e-15
+    assert abs(onecycle_lr(100, cfg, 25) - 1e-5) < 1e-15
+
+
 @pytest.mark.parametrize("step", [-1, 101])
 def test_onecycle_rejects_out_of_range_steps(step):
-    cfg = ScheduleConfig(total_steps=100)
+    cfg = TrainSettings()
     with pytest.raises(ValueError, match="out of range"):
-        onecycle_lr(step, cfg)
+        onecycle_lr(step, cfg, 100)
 
 
 def test_onecycle_per_epoch_wraps():
-    cfg = ScheduleConfig(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.25,
-                         total_steps=1, cycle_per_epoch=True, steps_per_epoch=40)
+    cfg = TrainSettings(lr_min=1e-5, lr_max=1e-2, warmup_frac=0.25, cycle_per_epoch=True)
     for s in (0, 7, 23, 39):
-        assert onecycle_lr(s, cfg) == onecycle_lr(s + 40, cfg)
-        assert onecycle_lr(s, cfg) == onecycle_lr(s + 400, cfg)
+        assert onecycle_lr(s, cfg, 40) == onecycle_lr(s + 40, cfg, 40)
+        assert onecycle_lr(s, cfg, 40) == onecycle_lr(s + 400, cfg, 40)
     with pytest.raises(ValueError):
-        onecycle_lr(-1, cfg)
+        onecycle_lr(-1, cfg, 40)
 
 
 @pytest.mark.parametrize(
@@ -132,13 +136,11 @@ def test_onecycle_per_epoch_wraps():
         dict(lr_min=2e-2, lr_max=1e-2),
         dict(warmup_frac=0.0),
         dict(warmup_frac=1.0),
-        dict(total_steps=0),
-        dict(cycle_per_epoch=True, steps_per_epoch=0),
     ],
 )
 def test_schedule_rejects_bad_configs(kwargs):
     with pytest.raises(ValueError):
-        ScheduleConfig(**kwargs).validate()
+        TrainSettings(**kwargs).validate()
 
 
 @pytest.mark.parametrize(
