@@ -29,10 +29,10 @@ from manner.nn import ParamInit
 rng = np.random.default_rng(3)
 x = Tensor(rng.standard_normal((1, 4, 100)).astype(np.float32))
 
-view = chunk(x, 16)
-print(f"chunked {x.shape} -> {view.data.shape} (hop {view.hop})")
+parts = chunk(x, 16)
+print(f"chunked {x.shape} -> {parts.shape} (hop {parts.shape[-1] // 2})")
 
-back = merge(view)
+back = merge(parts, x.shape[-1])
 print(f"merge round-trip error: {np.abs(back.data - x.data).max():.2e}")
 
 ################################################################################

@@ -22,7 +22,7 @@ from .tensor import (  # noqa: E402
     meter,
 )
 from .nn import batch_norm, conv1d, conv_transpose1d, linear  # noqa: E402
-from .chunker import ChunkedView, chunk, merge, num_chunks  # noqa: E402
+from .chunker import chunk, merge  # noqa: E402
 from .model import ModelConfig, build_model, manner_forward, num_params  # noqa: E402
 from .loss import StftConfig, combined_loss, multires_stft_loss, stft_loss, weighted_total_loss  # noqa: E402
 from .audio import AudioClip, pair_corpus, read_wav, segment, tempo_perturb, write_wav  # noqa: E402
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip",
-    "ChunkedView",
     "ModelConfig",
     "StftConfig",
     "Tape",
@@ -57,7 +56,6 @@ __all__ = [
     "meter",
     "multires_stft_loss",
     "num_params",
-    "num_chunks",
     "onecycle_lr",
     "pair_corpus",
     "read_wav",

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .chunker import ChunkedView, chunk, merge
+from .chunker import chunk, merge
 from .nn import ParamInit, conv1d, conv_tensors, linear
 from .tensor import (
     Tensor,
@@ -182,18 +182,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return apply_op(out.reshape(shape), (q, k, v), bwd)
 
 
-def global_attention(view: ChunkedView, wq: Tensor, wk: Tensor, wv: Tensor,
-                     wout: Tensor) -> ChunkedView:
-    """Single-head dot-product attention across the chunk axis."""
-    x = view.data  # B x Ch x P x C
-    out = linear(attend(linear(x, wq), linear(x, wk), linear(x, wv)), wout)
-    return ChunkedView(out, view.original_length, view.chunk_size, view.hop)
+def global_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor) -> Tensor:
+    """Single-head dot-product attention across the chunk axis of [B, Ch, P, C]."""
+    return linear(attend(linear(x, wq), linear(x, wk), linear(x, wv)), wout)
 
 
-def local_attention(view: ChunkedView, dw_weight: Tensor, dw_bias: Tensor,
-                    fuse_weight: Tensor, fuse_bias: Tensor) -> ChunkedView:
+def local_attention(x: Tensor, dw_weight: Tensor, dw_bias: Tensor,
+                    fuse_weight: Tensor, fuse_bias: Tensor) -> Tensor:
     """Per-chunk positional gating from channel-pooled depthwise features."""
-    x = view.data
     if x.ndim != 4:
         raise ValueError(f"local attention expects [B, Ch, P, C], got {x.shape}")
     b, ch, p, c = x.shape
@@ -207,8 +203,7 @@ def local_attention(view: ChunkedView, dw_weight: Tensor, dw_bias: Tensor,
     fk = fuse_weight.shape[-1]
     alpha = sigmoid(conv1d(pooled, fuse_weight, fuse_bias, padding=(fk - 1) // 2))
     gated = mul(folded, alpha)  # alpha broadcasts over channels
-    out = transpose(reshape(gated, (b, p, ch, c)), (0, 2, 1, 3))
-    return ChunkedView(out, view.original_length, view.chunk_size, view.hop)
+    return transpose(reshape(gated, (b, p, ch, c)), (0, 2, 1, 3))
 
 
 def ma_block(x: Tensor, params, prefix: str, chunk_size: int) -> Tensor:
@@ -236,12 +231,12 @@ def ma_block(x: Tensor, params, prefix: str, chunk_size: int) -> Tensor:
     out_g = x_g
     if f"{prefix}.glob.wq" in params:
         weights = [params[f"{prefix}.glob.{name}"] for name in GLOBAL_WEIGHTS]
-        out_g = merge(global_attention(chunk(x_g, chunk_size), *weights))
+        out_g = merge(global_attention(chunk(x_g, chunk_size), *weights), x.shape[-1])
 
     out_l = x_l
     if f"{prefix}.loc.dw.weight" in params:
         weights = conv_tensors(params, f"{prefix}.loc.dw") + conv_tensors(params, f"{prefix}.loc.fuse")
-        out_l = merge(local_attention(chunk(x_l, chunk_size), *weights))
+        out_l = merge(local_attention(chunk(x_l, chunk_size), *weights), x.shape[-1])
 
     z = conv(concat([out_c, out_g, out_l], axis=1), "exit")
     gate = relu(mul(sigmoid(conv(z, "gate_a")), tanh(conv(z, "gate_b"))))

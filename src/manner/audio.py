@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import DataError
-from .nn import time_windows
+from .nn import pad_windows
 
 log = logging.getLogger(__name__)
 
@@ -65,52 +64,33 @@ def read_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(rate))
 
 
-def write_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
-    path = Path(path)
-    if encoding == "pcm16":
-        scaled = np.round(clip.samples.astype(np.float64) * PCM_SCALE)
-        data = np.clip(scaled, -32768, 32767).astype(np.int16)
-    elif encoding == "float32":
-        data = clip.samples.astype(np.float32)
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    wavfile.write(path, clip.sample_rate, data)
+def write_wav(path, clip: AudioClip) -> None:
+    """Write PCM16, clipping samples to the representable range."""
+    scaled = np.round(clip.samples.astype(np.float64) * PCM_SCALE)
+    data = np.clip(scaled, -32768, 32767).astype(np.int16)
+    wavfile.write(Path(path), clip.sample_rate, data)
 
 
-def ensure_rate(clip: AudioClip, name: str, rate: int = TARGET_RATE) -> AudioClip:
-    if clip.sample_rate != rate:
-        raise DataError(f"{name}: sample rate {clip.sample_rate} Hz, expected {rate} Hz")
+def ensure_rate(clip: AudioClip, name: str) -> AudioClip:
+    if clip.sample_rate != TARGET_RATE:
+        raise DataError(f"{name}: sample rate {clip.sample_rate} Hz, expected {TARGET_RATE} Hz")
     return clip
-
-
-def num_segments(t: int, seg: int, hop: int) -> int:
-    """ceil(max(T - seg, 0) / hop) + 1; every sample lands in a window."""
-    return math.ceil(max(t - seg, 0) / hop) + 1
 
 
 def segment(samples: np.ndarray, seg: int, hop: int) -> list[np.ndarray]:
     """Fixed windows every `hop` samples; the last one is zero-padded."""
     if seg < 1 or not 1 <= hop <= seg:
         raise ValueError(f"need seg >= 1 and 1 <= hop <= seg, got seg={seg} hop={hop}")
-    t = len(samples)
-    if t < 1:
+    if len(samples) < 1:
         raise ValueError("cannot segment an empty signal")
-    n = num_segments(t, seg, hop)
-    tail = (n - 1) * hop + seg - t
-    if tail:
-        samples = np.pad(samples, (0, tail))
-    return list(time_windows(samples, seg, hop, n).T)
+    return list(pad_windows(samples, seg, hop).T)
 
 
-def tempo_perturb(clip: AudioClip, rate: float | None = None,
-                  seed: int | None = None) -> AudioClip:
+def tempo_perturb(clip: AudioClip, rate: float) -> AudioClip:
     """Playback-speed change by linear resampling; length becomes round(T/rate).
 
-    When `rate` is None one is drawn uniformly from [0.9, 1.1] using `seed`.
     rate == 1.0 returns the samples bit-exactly.
     """
-    if rate is None:
-        rate = float(np.random.default_rng(seed).uniform(0.9, 1.1))
     if not 0.9 <= rate <= 1.1:
         raise ValueError(f"tempo rate must lie in [0.9, 1.1], got {rate}")
     t = len(clip.samples)

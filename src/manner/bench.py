@@ -10,10 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import TARGET_RATE
 from .model import ModelParams, manner_forward
 from .tensor import Tensor, meter
-
-SAMPLE_RATE = 16000
 
 
 @dataclass
@@ -41,7 +40,6 @@ def run_bench(
     lengths_s: list[int],
     runs: int = 5,
     seed: int = 0,
-    sample_rate: int = SAMPLE_RATE,
 ) -> BenchReport:
     """Median forward time and allocator high-water mark per input length.
 
@@ -55,7 +53,7 @@ def run_bench(
     rng = np.random.default_rng(seed)
     rows = []
     for s in lengths_s:
-        t = s * sample_rate
+        t = s * TARGET_RATE
         x = Tensor(0.1 * rng.standard_normal(t).astype(np.float32)[None, None, :])
         out = manner_forward(x, params, params.config, training=False)  # warmup
         del out

@@ -88,6 +88,21 @@ def time_windows(x: np.ndarray, kernel: int, stride: int, count: int) -> np.ndar
     return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
 
 
+def num_windows(t: int, size: int, hop: int) -> int:
+    """ceil(max(t - size, 0) / hop) + 1: the fewest windows that cover t samples."""
+    return -(-max(t - size, 0) // hop) + 1
+
+
+def pad_windows(x: np.ndarray, size: int, hop: int) -> np.ndarray:
+    """time_windows over x's last axis, zero-padded at the tail so that
+    num_windows(T, size, hop) windows cover every sample: [..., size, count]."""
+    count = num_windows(x.shape[-1], size, hop)
+    tail = (count - 1) * hop + size - x.shape[-1]
+    if tail:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, tail)])
+    return time_windows(x, size, hop, count)
+
+
 def overlap_add(y: np.ndarray, stride: int, length: int) -> np.ndarray:
     """Adjoint of time_windows: sums y[..., K, T] at k + stride*t onto [..., length].
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import TARGET_RATE, CorpusPair, ensure_rate, num_segments, segment, tempo_perturb
+from .audio import TARGET_RATE, CorpusPair, ensure_rate, segment, tempo_perturb
 from .checkpoint import save_checkpoint
 from .errors import TrainingDiverged
 from .loss import LossReport, StftConfig, default_resolutions, weighted_total_loss
@@ -184,7 +184,6 @@ def train(
     resolutions: tuple[StftConfig, ...] | None = None,
     adam_state: AdamState | None = None,
     start_epoch: int = 0,
-    sample_rate: int = 16000,
 ) -> TrainResult:
     """Train in place; returns the per-step log and checkpoint locations.
 
@@ -195,17 +194,13 @@ def train(
     if not corpus:
         raise ValueError("empty training corpus")
     for pair in corpus:
-        ensure_rate(pair.noisy, f"{pair.name} (noisy)", sample_rate)
-        ensure_rate(pair.clean, f"{pair.name} (clean)", sample_rate)
+        ensure_rate(pair.noisy, f"{pair.name} (noisy)")
+        ensure_rate(pair.clean, f"{pair.name} (clean)")
     val_corpus = val_corpus or corpus
     resolutions = default_resolutions() if resolutions is None else resolutions
 
-    seg = int(round(settings.segment_seconds * sample_rate))
-    hop = int(round(settings.hop_seconds * sample_rate))
-    base_segments = sum(num_segments(len(p.noisy.samples), seg, hop) for p in corpus)
-    steps_per_epoch = math.ceil(base_segments / settings.batch_size)
-    # Tempo augmentation can add segments, so steps may run past the horizon.
-    total_steps = settings.epochs * steps_per_epoch
+    seg = int(round(settings.segment_seconds * TARGET_RATE))
+    hop = int(round(settings.hop_seconds * TARGET_RATE))
 
     state = adam_state if adam_state is not None else init_adam(params)
 
@@ -234,11 +229,13 @@ def train(
             rng = _epoch_rng(settings.seed, epoch)
             pieces = _segment_pairs(corpus, seg, hop, rng, settings.tempo_augment)
             order = rng.permutation(len(pieces))
-            for b0 in range(0, len(order), settings.batch_size):
+            # sized from this epoch's pieces, which tempo augmentation can add to
+            steps = math.ceil(len(pieces) / settings.batch_size)
+            for k, b0 in enumerate(range(0, len(order), settings.batch_size)):
                 batch = [pieces[i] for i in order[b0 : b0 + settings.batch_size]]
                 x = np.stack([n for n, _ in batch])
                 y = np.stack([c for _, c in batch])
-                lr = onecycle_lr(min(state.t, total_steps), settings, steps_per_epoch)
+                lr = onecycle_lr(epoch * steps + k, settings, steps)
 
                 with Tape() as tape:
                     est = manner_forward(Tensor(x[:, None, :]), params, params.config, training=True)
@@ -261,21 +258,19 @@ def train(
                     break
 
             run_val = (epoch + 1) % settings.val_every == 0 or epoch + 1 == settings.epochs or stop
+            improved = False
             if run_val:
                 val = _evaluate(params, val_corpus, resolutions, settings.weighted_loss)
                 val_history.append((epoch + 1, val))
                 emit(f"val epoch={epoch + 1} loss={val:.6g}")
-                if out_path is not None:
-                    last_path = out_path / "last.ckpt"
-                    save_checkpoint(last_path, params, state, step=state.t, epoch=epoch + 1)
-                    if val < best_val:
-                        best_path = out_path / "best.ckpt"
-                        save_checkpoint(best_path, params, state, step=state.t, epoch=epoch + 1)
-                if val < best_val:
-                    best_val = val
-            elif out_path is not None:
+                improved = val < best_val
+                best_val = min(best_val, val)
+            if out_path is not None:
                 last_path = out_path / "last.ckpt"
                 save_checkpoint(last_path, params, state, step=state.t, epoch=epoch + 1)
+                if improved:
+                    best_path = out_path / "best.ckpt"
+                    save_checkpoint(best_path, params, state, step=state.t, epoch=epoch + 1)
             if stop:
                 break
     finally:

@@ -25,7 +25,7 @@ from manner.attention import (
 from manner.audio import AudioClip, CorpusPair
 from manner.bench import run_bench
 from manner.checkpoint import load_checkpoint
-from manner.chunker import ChunkedView, chunk, merge
+from manner.chunker import chunk, merge
 from manner.config import parse_run_config
 from manner.loss import StftConfig, hann_window, stft_loss, stft_magnitude, weighted_total_loss
 from manner.metrics import si_snr
@@ -64,13 +64,6 @@ def _block(init_fn, rng, dtype, *args):
     init = ParamInit({}, rng, dtype)
     init_fn(init, "p", *args)
     return [t for t in init.params.values() if t.requires_grad], init.params
-
-
-def _view(x):
-    p, c = x.shape[-2], x.shape[-1]
-    t = (p - 1) * (c // 2) + c if p > 1 else c
-    return ChunkedView(data=Tensor(x, requires_grad=True), original_length=t,
-                       chunk_size=c, hop=c // 2)
 
 
 LOCAL_SEED, LOCAL_EPS32 = 22, 1e-2
@@ -142,18 +135,18 @@ def _gradcheck_cases(dtype):
 
     rng = make_rng(14)
     ga, _ = _block(init_global_attention, rng, dtype, 8)
-    vg = _view(rng.standard_normal((1, 3, 4, 8)).astype(dtype))
+    vg = Tensor(rng.standard_normal((1, 3, 4, 8)).astype(dtype), requires_grad=True)
     cases.append(("global attention",
-                  lambda *_: _sq(global_attention(vg, *ga).data),
-                  [vg.data] + ga, None, None))
+                  lambda *_: _sq(global_attention(vg, *ga)),
+                  [vg] + ga, None, None))
 
     rng = make_rng(LOCAL_SEED)
     la, _ = _block(init_local_attention, rng, dtype, 4, 8)
     _wake_kinks(la, rng)
-    vl = _view(rng.standard_normal((1, 4, 3, 8)).astype(dtype))
+    vl = Tensor(rng.standard_normal((1, 4, 3, 8)).astype(dtype), requires_grad=True)
     cases.append(("local attention",
-                  lambda *_: _sq(local_attention(vl, *la).data),
-                  [vl.data] + la, None,
+                  lambda *_: _sq(local_attention(vl, *la)),
+                  [vl] + la, None,
                   LOCAL_EPS32 if f32 else None))
 
     rng = make_rng(MA_SEED)
@@ -223,14 +216,14 @@ def test_chunk_merge_roundtrip():
         c = int(rng.choice([2, 4, 8, 16, 64]))
         t = int(rng.integers(1, 400))
         x = Tensor(rng.standard_normal((2, 3, t)).astype(np.float32))
-        back = merge(chunk(x, c))
+        back = merge(chunk(x, c), t)
         assert back.shape == x.shape
         assert np.max(np.abs(back.data - x.data)) < 1e-6
     for t, c, p in ((31, 64, 1), (64, 64, 1), (1000, 64, 31)):
         x = Tensor(rng.standard_normal((1, 2, t)).astype(np.float32))
-        view = chunk(x, c)
-        assert view.data.shape[-2] == p
-        assert np.max(np.abs(merge(view).data - x.data)) < 1e-6
+        parts = chunk(x, c)
+        assert parts.shape[-2] == p
+        assert np.max(np.abs(merge(parts, t).data - x.data)) < 1e-6
 
 
 @pytest.mark.acceptance("3 default-config shape ladder")

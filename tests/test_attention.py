@@ -23,7 +23,7 @@ from manner.attention import (
     local_kernel_size,
     ma_block,
 )
-from manner.chunker import ChunkedView, chunk
+from manner.chunker import chunk
 from manner.nn import ParamInit
 from manner.tensor import Tensor, finite_diff_check, tsum
 
@@ -100,10 +100,7 @@ def weights(init_fn, rng, *args):
 
 def make_view(x):
     """Wrap a [B, Ch, P, C] array without going through chunk()."""
-    p, c = x.shape[-2], x.shape[-1]
-    t = (p - 1) * (c // 2) + c if p > 1 else c
-    return ChunkedView(data=Tensor(x, requires_grad=True), original_length=t,
-                       chunk_size=c, hop=c // 2)
+    return Tensor(x, requires_grad=True)
 
 
 # ---------------------------------------------------------------------
@@ -182,7 +179,7 @@ def test_global_attention_single_chunk_is_value_path():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 1, 8))
     wq, wk, wv, wout = weights(init_global_attention, rng, 8)
-    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    out = global_attention(make_view(x), wq, wk, wv, wout).data
     expected = (x @ wv.data) @ wout.data
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -193,7 +190,7 @@ def test_global_attention_zero_keys_average_uniformly():
     x = rng.standard_normal((1, 2, 5, 8))
     wq, wk, wv, wout = weights(init_global_attention, rng, 8)
     wk.data[:] = 0.0
-    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    out = global_attention(make_view(x), wq, wk, wv, wout).data
     v = x @ wv.data
     expected = np.broadcast_to(v.mean(axis=2, keepdims=True) @ wout.data, out.shape)
     np.testing.assert_allclose(out, expected, rtol=1e-10)
@@ -205,7 +202,7 @@ def test_global_attention_identical_chunks_stay_identical():
     one = rng.standard_normal((2, 3, 1, 8))
     x = np.repeat(one, 4, axis=2)
     wq, wk, wv, wout = weights(init_global_attention, rng, 8)
-    out = global_attention(make_view(x), wq, wk, wv, wout).data.data
+    out = global_attention(make_view(x), wq, wk, wv, wout).data
     single = (one @ wv.data) @ wout.data
     for i in range(4):
         np.testing.assert_allclose(out[:, :, i : i + 1, :], single, rtol=1e-10)
@@ -231,8 +228,8 @@ def test_global_attention_matches_loops(seed, p, monkeypatch):
     for name, budget in block_budgets(p, 8).items():
         monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
         out = global_attention(make_view(x), *ws)
-        np.testing.assert_allclose(out.data.data, expected, rtol=1e-9, err_msg=name)
-    assert out.original_length == make_view(x).original_length
+        np.testing.assert_allclose(out.data, expected, rtol=1e-9, err_msg=name)
+    assert out.shape == x.shape
 
 
 def test_global_attention_gradcheck(monkeypatch):
@@ -242,12 +239,11 @@ def test_global_attention_gradcheck(monkeypatch):
     view = make_view(x)
 
     def f(xv, *w):
-        v = ChunkedView(xv, view.original_length, view.chunk_size, view.hop)
-        return tsum(global_attention(v, *w).data)
+        return tsum(global_attention(xv, *w))
 
     for name, budget in block_budgets(3, 8).items():
         monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
-        err = finite_diff_check(f, [view.data] + ws)
+        err = finite_diff_check(f, [view] + ws)
         assert err < 1e-6, name
 
 
@@ -256,14 +252,13 @@ def test_global_attention_score_memory_is_one_block():
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((1, 4, 1024, 64)).astype(np.float32))
     ws = registered(init_global_attention, rng, 64, dtype=np.float32).values()
-    view = ChunkedView(x, 1024 * 32 + 32, 64, 32)
     tracemalloc.start()
     try:
-        out = global_attention(view, *ws)
+        out = global_attention(x, *ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.data.shape == x.shape
+    assert out.shape == x.shape
     assert peak < 2 * attention.SCORE_BLOCK_BYTES + 8 * x.data.nbytes
 
 
@@ -296,7 +291,7 @@ def test_local_attention_delta_kernel_hand_case():
     fuse_w = np.zeros((1, 2, 7))
     fuse_w[0, 0, 3] = 1.0
     out = local_attention(make_view(x), Tensor(dw_w), Tensor(np.zeros(2)),
-                          Tensor(fuse_w), Tensor(np.zeros(1))).data.data
+                          Tensor(fuse_w), Tensor(np.zeros(1))).data
     gate = sigmoid_np(x.mean(axis=1, keepdims=True))
     np.testing.assert_allclose(out, x * gate, rtol=1e-12)
 
@@ -308,14 +303,14 @@ def test_local_attention_matches_loops(seed, p):
     ws = weights(init_local_attention, rng, 2, 8)
     out = local_attention(make_view(x), *ws)
     expected = local_attention_loops(x, *(w.data for w in ws))
-    np.testing.assert_allclose(out.data.data, expected, rtol=1e-10)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-10)
 
 
 def test_local_attention_gate_shrinks_magnitudes():
     """The sigmoid gate lies in (0, 1), so it can only shrink samples."""
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 4, 3, 8))
-    out = local_attention(make_view(x), *weights(init_local_attention, rng, 4, 8)).data.data
+    out = local_attention(make_view(x), *weights(init_local_attention, rng, 4, 8)).data
     assert np.all(np.abs(out) < np.abs(x) + 1e-15)
     assert np.all(np.sign(out) == np.sign(x))
 
@@ -327,10 +322,9 @@ def test_local_attention_gradcheck():
     view = make_view(x)
 
     def f(xv, *w):
-        v = ChunkedView(xv, view.original_length, view.chunk_size, view.hop)
-        return tsum(local_attention(v, *w).data)
+        return tsum(local_attention(xv, *w))
 
-    err = finite_diff_check(f, [view.data] + ws)
+    err = finite_diff_check(f, [view] + ws)
     assert err < 1e-6
 
 

@@ -10,7 +10,6 @@ from scipy.io import wavfile
 from manner.audio import (
     AudioClip,
     ensure_rate,
-    num_segments,
     pair_corpus,
     read_wav,
     segment,
@@ -19,6 +18,7 @@ from manner.audio import (
 )
 from manner.errors import DataError
 from manner.metrics import si_snr
+from manner.nn import num_windows
 
 # ---------------------------------------------------------------------
 # WAV round trips and rejects
@@ -39,7 +39,7 @@ def test_float32_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, size=777).astype(np.float32)
     path = tmp_path / "x.wav"
-    write_wav(path, AudioClip(x, 16000), encoding="float32")
+    wavfile.write(path, 16000, x)
     assert np.array_equal(read_wav(path).samples, x)
 
 
@@ -122,7 +122,7 @@ def test_exact_signal_is_one_unpadded_window():
 @pytest.mark.parametrize("t", [1, 100, 47999, 48000, 48001, 64000, 64001, 160000])
 def test_every_sample_is_covered(t):
     seg, hop = 64000, 48000
-    n = num_segments(t, seg, hop)
+    n = num_windows(t, seg, hop)
     assert n == math.ceil(max(t - seg, 0) / hop) + 1
     assert (n - 1) * hop + seg >= t  # last window reaches the end
     if n > 1:
@@ -170,17 +170,6 @@ def test_tempo_resamples_a_ramp_linearly():
 def test_tempo_rejects_out_of_range(rate):
     with pytest.raises(ValueError):
         tempo_perturb(AudioClip(np.zeros(100), 16000), rate=rate)
-
-
-def test_tempo_seeded_draw_is_deterministic():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(64000).astype(np.float32)
-    a = tempo_perturb(AudioClip(x, 16000), seed=11)
-    b = tempo_perturb(AudioClip(x, 16000), seed=11)
-    c = tempo_perturb(AudioClip(x, 16000), seed=12)
-    assert np.array_equal(a.samples, b.samples)
-    assert 58182 <= len(a.samples) <= 71111
-    assert len(a.samples) != len(c.samples) or not np.array_equal(a.samples, c.samples)
 
 
 # ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from manner.audio import AudioClip, read_wav, write_wav
 from manner.checkpoint import save_checkpoint
@@ -287,7 +288,7 @@ def test_enhance_non_finite_input_exits_3(tmp_path, capsys):
     samples = np.full(1600, 0.1, dtype=np.float32)
     samples[100] = np.nan
     wav = tmp_path / "nan.wav"
-    write_wav(wav, AudioClip(samples, 16000), encoding="float32")
+    wavfile.write(wav, 16000, samples)
     ckpt = toy_checkpoint(tmp_path)
     out = tmp_path / "enh"
     assert main(["enhance", str(wav), "--checkpoint", str(ckpt), "--out", str(out)]) == 3

@@ -590,7 +590,7 @@ FREEING_OPS = {
     "narrow": lambda h: narrow(h, 1, 5),
     "batch_norm_training": _bn,
     "stft_magnitude": lambda h: stft_magnitude(h, StftConfig(8, 2, 4)),
-    "chunk_merge": lambda h: merge(chunk(h, 4)),
+    "chunk_merge": lambda h: merge(chunk(h, 4), h.shape[-1]),
 }
 
 

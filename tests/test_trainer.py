@@ -439,6 +439,36 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
     assert part_log == full_log
 
 
+def augmented_schedule(cycle_per_epoch):
+    """(epoch, lr) per step of a run where tempo augmentation adds segments.
+
+    Each 1 s pair cuts into three 0.5 s segments every 0.25 s, five batches
+    of 2 per epoch; a pair slowed below rate 1 cuts into four.
+    """
+    settings = toy_settings(hop_seconds=0.25, cycle_per_epoch=cycle_per_epoch)
+    result = train(build_model(ModelConfig(**TOY), seed=1), tone_corpus(n_pairs=3),
+                   settings, resolutions=SMALL_RES)
+    assert result.steps > settings.epochs * 5
+    fields = [dict(f.split("=") for f in line.split()[:3])
+              for line in result.log_lines if line.startswith("step=")]
+    return settings, [(int(f["epoch"]), float(f["lr"])) for f in fields]
+
+
+def test_cycle_per_epoch_restarts_at_every_epoch_start():
+    settings, steps = augmented_schedule(cycle_per_epoch=True)
+    starts = {}
+    for epoch, lr in steps:
+        starts.setdefault(epoch, lr)
+    assert sorted(starts) == list(range(1, settings.epochs + 1))
+    assert all(lr == settings.lr_min for lr in starts.values())
+
+
+def test_single_cycle_stays_above_lr_min_after_the_first_step():
+    settings, steps = augmented_schedule(cycle_per_epoch=False)
+    assert steps[0][1] == settings.lr_min
+    assert all(lr > settings.lr_min for _, lr in steps[1:])
+
+
 def test_best_val_never_exceeds_history(tmp_path):
     corpus = tone_corpus(n_pairs=1)
     result = train(build_model(ModelConfig(**TOY), seed=2), corpus,
@@ -447,6 +477,30 @@ def test_best_val_never_exceeds_history(tmp_path):
     assert result.best_val == min(vals)
     assert (tmp_path / "best.ckpt").exists()
     assert (tmp_path / "last.ckpt").exists()
+
+
+def test_last_checkpoint_every_epoch_best_on_improvement(tmp_path, monkeypatch):
+    import manner.trainer as trainer_mod
+
+    saved = []
+    real_save = trainer_mod.save_checkpoint
+
+    def record(path, *args, epoch, **kwargs):
+        saved.append((path.name, epoch))
+        real_save(path, *args, epoch=epoch, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "save_checkpoint", record)
+    result = train(build_model(ModelConfig(**TOY), seed=2), tone_corpus(n_pairs=1),
+                   toy_settings(epochs=3, val_every=2), out_dir=tmp_path, resolutions=SMALL_RES)
+    expected, best = [], math.inf
+    for epoch in range(1, 4):
+        expected.append(("last.ckpt", epoch))
+        val = dict(result.val_history).get(epoch, math.inf)
+        if val < best:
+            best = val
+            expected.append(("best.ckpt", epoch))
+    assert [e for e, _ in result.val_history] == [2, 3]
+    assert saved == expected
 
 
 def test_max_steps_caps_the_run():
