@@ -18,6 +18,7 @@ import argparse
 import numpy as np
 
 from manner import ModelConfig, Tensor, build_model
+from manner.audio import TARGET_RATE
 from manner.loss import weighted_total_loss
 from manner.model import manner_forward, trainable
 from manner.tensor import Tape, backward, reshape
@@ -28,12 +29,9 @@ from manner.tensor import Tape, backward, reshape
 # B=2 x 0.5 s batch of clean signal plus noise, which each run rounds to
 # its own precision, so the error counts storage as well as arithmetic.
 
-SAMPLE_RATE = 16000
-
-
 def batch(seed, batch_size=2, seconds=0.5):
     rng = np.random.default_rng(seed)
-    shape = (batch_size, int(seconds * SAMPLE_RATE))
+    shape = (batch_size, int(seconds * TARGET_RATE))
     clean = 0.1 * rng.standard_normal(shape)
     return clean + 0.05 * rng.standard_normal(shape), clean
 

@@ -43,7 +43,7 @@ class CorpusPair:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a mono PCM16 or finite float32 WAV; anything else is rejected."""
+    """Read a non-empty mono PCM16 or finite float32 WAV; anything else is rejected."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
@@ -53,6 +53,8 @@ def read_wav(path) -> AudioClip:
         raise DataError(f"{path}: malformed or unsupported WAV ({exc})") from exc
     if data.ndim != 1:
         raise DataError(f"{path}: expected mono, got {data.shape[1]} channels")
+    if data.size == 0:
+        raise DataError(f"{path}: no samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float32) / PCM_SCALE
     elif data.dtype == np.float32:

@@ -11,6 +11,8 @@ import numpy as np
 from .tensor import Tensor, apply_op
 
 BATCH_NORM_FIELDS = ("gamma", "beta", "running_mean", "running_var")
+BATCH_NORM_MOMENTUM = 0.1  # weight of the batch statistics in a running-stat update
+BATCH_NORM_EPS = 1e-5
 
 
 class ParamInit:
@@ -66,10 +68,6 @@ def batch_norm_tensors(params, name: str) -> tuple[Tensor, ...]:
 
 def conv_out_length(t: int, kernel: int, stride: int, padding: int) -> int:
     return (t + 2 * padding - kernel) // stride + 1
-
-
-def conv_transpose_out_length(t: int, kernel: int, stride: int, padding: int) -> int:
-    return (t - 1) * stride - 2 * padding + kernel
 
 
 def _pad_time(x: np.ndarray, padding: int) -> np.ndarray:
@@ -264,32 +262,21 @@ def conv_transpose1d(
     return apply_op(out, inputs, bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x[..., Din] @ weight[Din, Dout] (+ bias[Dout])."""
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """x[..., Din] @ weight[Din, Dout]."""
     if weight.ndim != 2:
         raise ValueError(f"linear weight must be [Din, Dout], got {weight.shape}")
     din, dout = weight.shape
     if x.shape[-1] != din:
         raise ValueError(f"linear expects last dim {din}, got {x.shape}")
-    if bias is not None and bias.shape != (dout,):
-        raise ValueError(f"bias must be [Dout]={dout}, got {bias.shape}")
-    out = np.matmul(x.data, weight.data)
-    if bias is not None:
-        out = out + bias.data
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     xd, wd = x.data, weight.data
 
     def bwd(g, needs):
         gx = np.matmul(g, wd.T) if needs[0] else None
-        gw = None
-        if needs[1]:
-            gw = np.tensordot(xd.reshape(-1, din), g.reshape(-1, dout), axes=([0], [0]))
-        gb = None
-        if bias is not None and needs[2]:
-            gb = g.reshape(-1, dout).sum(axis=0)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gw = np.tensordot(xd.reshape(-1, din), g.reshape(-1, dout), axes=([0], [0])) if needs[1] else None
+        return (gx, gw)
 
-    return apply_op(out, inputs, bwd)
+    return apply_op(np.matmul(xd, wd), (x, weight), bwd)
 
 
 def batch_norm(
@@ -299,8 +286,6 @@ def batch_norm(
     running_mean: Tensor,
     running_var: Tensor,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel normalization of a [B, Ch, T] tensor.
 
@@ -319,13 +304,14 @@ def batch_norm(
     if training:
         mean = xd.mean(axis=(0, 2))
         var = xd.var(axis=(0, 2))
-        running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
-        running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * var
+        mom = BATCH_NORM_MOMENTUM
+        running_mean.data[...] = (1.0 - mom) * running_mean.data + mom * mean
+        running_var.data[...] = (1.0 - mom) * running_var.data + mom * var
     else:
         mean = running_mean.data
         var = running_var.data
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     m = xd.shape[0] * xd.shape[2]
     if training:
         xhat = (xd - mean[None, :, None]) * inv_std[None, :, None]

@@ -10,7 +10,7 @@ op explicitly accepts.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -129,7 +126,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(constant_like(other, self), self)
+        return sub(_operands("sub", self, other)[1], self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -164,18 +161,18 @@ class Node:
     """One recorded primitive application: gradient routing, not tensors.
 
     `parents[i]` is the node that produced input i, the leaf parameter
-    itself, or None for a constant. The output is held weakly, so an
-    intermediate lives only while a caller or a backward closure reads it;
-    `backward_fn` holds exactly what the op's backward formula reads, and
-    backward() drops it once it has run.
+    itself, or None for a constant; backward() reads both the leaves and
+    which inputs need a gradient off this tuple. The output is held
+    weakly, so an intermediate lives only while a caller or a backward
+    closure reads it; `backward_fn` holds exactly what the op's backward
+    formula reads, and backward() drops it once it has run.
     """
 
-    __slots__ = ("parents", "backward_fn", "needs", "_output", "__weakref__")
+    __slots__ = ("parents", "backward_fn", "_output", "__weakref__")
 
-    def __init__(self, parents, output: Tensor, backward_fn, needs):
+    def __init__(self, parents, output: Tensor, backward_fn):
         self.parents = parents
         self.backward_fn = backward_fn
-        self.needs = needs
         self._output = weakref.ref(output)
 
     @property
@@ -194,7 +191,6 @@ class Tape:
 
     def __init__(self) -> None:
         self._nodes: list[Node] = []
-        self._leaves: dict[int, Tensor] = {}
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -208,10 +204,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def leaves(self) -> list[Tensor]:
-        return list(self._leaves.values())
 
 
 _TAPE_STACK: list[Tape] = []
@@ -232,31 +224,29 @@ def apply_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result, recording a node when a tape is active.
 
     `backward_fn(grad, needs)` must return per-input gradients (None where
-    `needs` is False or the input is non-differentiable). It should close
-    over only the arrays its formula reads, not over input Tensors: a
-    captured intermediate would live until the tape is dropped.
+    `needs[i]` is False, as input i has no parent, or where the input is
+    non-differentiable). It should close over only the arrays its formula
+    reads, not over input Tensors: a captured intermediate would live until
+    the tape is dropped.
     """
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
     tape = active_tape()
     if tape is not None and requires:
-        parents = tuple(_parent(t) for t in inputs)
-        node = Node(parents, out, backward_fn, tuple(p is not None for p in parents))
+        node = Node(tuple(_parent(t) for t in inputs), out, backward_fn)
         out._node = weakref.ref(node)
         tape._nodes.append(node)
-        for t, p in zip(inputs, parents):
-            if p is t:
-                tape._leaves.setdefault(id(t), t)
     return out
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` for every leaf on the tape.
 
-    Walks the tape once in reverse; leaves the loss never reached get a
-    zero gradient. Gradients are keyed by the id of a node or leaf, both of
-    which the tape keeps alive. Each node's backward_fn is dropped as the
-    walk passes it, which frees what that op saved, so a tape runs once.
+    Walks the tape once in reverse. The leaves are the Tensor parents of
+    the nodes it passes; those the loss never reached get a zero gradient.
+    Gradients are keyed by the id of a node or leaf, both of which the tape
+    keeps alive. Each node's backward_fn is dropped as the walk passes it,
+    which frees what that op saved, so a tape runs once.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -265,20 +255,22 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tape.consumed = True
     root = loss.node if loss.from_op else loss
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    leaves: dict[int, Tensor] = {}
     for node in reversed(tape._nodes):
         fn, node.backward_fn = node.backward_fn, None
+        parents = node.parents
+        for parent in parents:
+            if isinstance(parent, Tensor):
+                leaves[id(parent)] = parent
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        for parent, gt in zip(node.parents, fn(g, node.needs)):
+        for parent, gt in zip(parents, fn(g, tuple(p is not None for p in parents))):
             if gt is None or parent is None:
                 continue
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + gt
-            else:
-                grads[key] = gt
-    for leaf in tape._leaves.values():
+            grads[key] = grads[key] + gt if key in grads else gt
+    for leaf in leaves.values():
         g = grads.get(id(leaf))
         if g is None:
             g = np.zeros_like(leaf.data)
@@ -289,30 +281,24 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # helpers
 
 
-def constant_like(value, ref: Tensor) -> Tensor:
-    return Tensor(np.asarray(value, dtype=ref.dtype))
-
-
-def _as_pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
-    """Coerce a scalar operand to the tensor's dtype; reject other types."""
-    if isinstance(b, Tensor):
-        if a.dtype != b.dtype:
-            raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-        return a, b
+def _operands(op: str, a: Tensor, b) -> tuple[Tensor, Tensor]:
+    """The one broadcast rule of the binary ops: a scalar b becomes a
+    constant of a's dtype; otherwise dtypes must match and shapes must be
+    equal, one a scalar, or differ only in size-1 axes at equal rank."""
     if isinstance(b, (int, float, np.floating, np.integer)):
         return a, Tensor(np.asarray(b, dtype=a.dtype))
-    raise TypeError(f"unsupported operand type {type(b).__name__}")
-
-
-def _check_broadcast(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
-    """Allow equal shapes, scalars, or size-1 axes at equal ndim."""
+    if not isinstance(b, Tensor):
+        raise TypeError(f"{op}: unsupported operand type {type(b).__name__}")
+    if a.dtype != b.dtype:
+        raise ValueError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
+    sa, sb = a.shape, b.shape
     if sa == sb or sa == () or sb == ():
-        return
+        return a, b
     if len(sa) != len(sb):
         raise ValueError(f"{op}: rank mismatch {sa} vs {sb}")
-    for da, db in zip(sa, sb):
-        if da != db and da != 1 and db != 1:
-            raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
+    if any(da != db and da != 1 and db != 1 for da, db in zip(sa, sb)):
+        raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
+    return a, b
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -326,73 +312,46 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _broadcast_op(out: np.ndarray, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Record a binary op checked by _operands. grad_a(g) and grad_b(g) give
+    each operand's gradient at the output's shape; it is summed back to
+    that operand's shape here."""
+    sa, sb = a.shape, b.shape
+
+    def bwd(g, needs):
+        return (_reduce_to(grad_a(g), sa) if needs[0] else None,
+                _reduce_to(grad_b(g), sb) if needs[1] else None)
+
+    return apply_op(out, (a, b), bwd)
+
+
 # ---------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a: Tensor, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_broadcast("add", a.shape, b.shape)
-    out = a.data + b.data
-    sa, sb = a.shape, b.shape
-
-    def bwd(g, needs):
-        return (
-            _reduce_to(g, sa) if needs[0] else None,
-            _reduce_to(g, sb) if needs[1] else None,
-        )
-
-    return apply_op(out, (a, b), bwd)
+    a, b = _operands("add", a, b)
+    return _broadcast_op(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_broadcast("sub", a.shape, b.shape)
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def bwd(g, needs):
-        return (
-            _reduce_to(g, sa) if needs[0] else None,
-            _reduce_to(-g, sb) if needs[1] else None,
-        )
-
-    return apply_op(out, (a, b), bwd)
+    a, b = _operands("sub", a, b)
+    return _broadcast_op(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_broadcast("mul", a.shape, b.shape)
-    out = a.data * b.data
-    sa, sb = a.shape, b.shape
+    a, b = _operands("mul", a, b)
     # each operand's array is read only for the other operand's gradient
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
-
-    def bwd(g, needs):
-        return (
-            _reduce_to(g * bd, sa) if needs[0] else None,
-            _reduce_to(g * ad, sb) if needs[1] else None,
-        )
-
-    return apply_op(out, (a, b), bwd)
+    return _broadcast_op(a.data * b.data, a, b, lambda g: g * bd, lambda g: g * ad)
 
 
 def div(a: Tensor, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_broadcast("div", a.shape, b.shape)
-    out = a.data / b.data
-    sa, sb = a.shape, b.shape
+    a, b = _operands("div", a, b)
     ad = a.data if b.requires_grad else None
     bd = b.data
-
-    def bwd(g, needs):
-        return (
-            _reduce_to(g / bd, sa) if needs[0] else None,
-            _reduce_to(-g * ad / (bd * bd), sb) if needs[1] else None,
-        )
-
-    return apply_op(out, (a, b), bwd)
+    return _broadcast_op(a.data / bd, a, b, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -421,19 +380,10 @@ def tsqrt(a: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b) -> Tensor:
     """Elementwise max; gradient follows the winning operand (ties to a)."""
-    a, b = _as_pair(a, b)
-    _check_broadcast("maximum", a.shape, b.shape)
+    a, b = _operands("maximum", a, b)
     take_a = a.data >= b.data
-    out = np.where(take_a, a.data, b.data)
-    sa, sb = a.shape, b.shape
-
-    def bwd(g, needs):
-        return (
-            _reduce_to(g * take_a, sa) if needs[0] else None,
-            _reduce_to(g * ~take_a, sb) if needs[1] else None,
-        )
-
-    return apply_op(out, (a, b), bwd)
+    return _broadcast_op(np.where(take_a, a.data, b.data), a, b,
+                         lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 # ---------------------------------------------------------------------
@@ -487,10 +437,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def bwd(g, needs):
-        gg = g
-        if not keepdims:
-            for ax in sorted(axes):
-                gg = np.expand_dims(gg, ax)
+        gg = g if keepdims else np.expand_dims(g, axes)
         return (np.broadcast_to(gg, shape).copy(),)
 
     return apply_op(out, (a,), bwd)
@@ -505,10 +452,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def bwd(g, needs):
-        gg = g
-        if not keepdims:
-            for ax in sorted(axes):
-                gg = np.expand_dims(gg, ax)
+        gg = g if keepdims else np.expand_dims(g, axes)
         return (np.broadcast_to(gg, shape) / count,)
 
     return apply_op(out, (a,), bwd)

@@ -296,6 +296,16 @@ def test_enhance_non_finite_input_exits_3(tmp_path, capsys):
     assert not (out / "nan.wav").exists()
 
 
+def test_enhance_empty_wav_exits_3(tmp_path, capsys):
+    wav = tmp_path / "empty.wav"
+    wavfile.write(wav, 16000, np.zeros(0, dtype=np.int16))
+    ckpt = toy_checkpoint(tmp_path)
+    out = tmp_path / "enh"
+    assert main(["enhance", str(wav), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+    assert f"{wav}: no samples" in capsys.readouterr().err
+    assert not (out / "empty.wav").exists()
+
+
 def test_enhance_corrupt_checkpoint_exits_3(tmp_path, corpus_dirs, capsys):
     noisy, _ = corpus_dirs
     bad = tmp_path / "bad.ckpt"
