@@ -45,7 +45,7 @@ clean = voiced + 0.35 * rng.standard_normal(rate)
 clean = (0.2 * clean / np.sqrt((clean ** 2).mean())).astype(np.float32)
 noisy = clean + 0.05 * rng.standard_normal(rate).astype(np.float32)
 
-pair = CorpusPair("demo", AudioClip(noisy, rate), AudioClip(clean, rate))
+pair = CorpusPair("demo", AudioClip(noisy), AudioClip(clean))
 print(f"input SI-SNR: {si_snr(noisy, clean):.2f} dB")
 
 ################################################################################

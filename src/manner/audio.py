@@ -20,10 +20,9 @@ PCM_SCALE = 32768.0
 
 @dataclass
 class AudioClip:
-    """1-D float32 samples in [-1, 1] plus their sample rate."""
+    """1-D float32 samples in [-1, 1] at TARGET_RATE."""
 
     samples: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
@@ -32,7 +31,7 @@ class AudioClip:
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / TARGET_RATE
 
 
 @dataclass
@@ -43,7 +42,7 @@ class CorpusPair:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a non-empty mono PCM16 or finite float32 WAV; anything else is rejected."""
+    """Read a non-empty mono 16 kHz PCM16 or finite float32 WAV; anything else is rejected."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
@@ -63,20 +62,16 @@ def read_wav(path) -> AudioClip:
         raise DataError(f"{path}: unsupported sample encoding {data.dtype}; need PCM16 or float32")
     if not np.all(np.isfinite(samples)):
         raise DataError(f"{path}: non-finite samples (NaN or Inf)")
-    return AudioClip(samples=samples, sample_rate=int(rate))
+    if rate != TARGET_RATE:
+        raise DataError(f"{path}: sample rate {rate} Hz, expected {TARGET_RATE} Hz")
+    return AudioClip(samples)
 
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write PCM16, clipping samples to the representable range."""
     scaled = np.round(clip.samples.astype(np.float64) * PCM_SCALE)
     data = np.clip(scaled, -32768, 32767).astype(np.int16)
-    wavfile.write(Path(path), clip.sample_rate, data)
-
-
-def ensure_rate(clip: AudioClip, name: str) -> AudioClip:
-    if clip.sample_rate != TARGET_RATE:
-        raise DataError(f"{name}: sample rate {clip.sample_rate} Hz, expected {TARGET_RATE} Hz")
-    return clip
+    wavfile.write(Path(path), TARGET_RATE, data)
 
 
 def segment(samples: np.ndarray, seg: int, hop: int) -> list[np.ndarray]:
@@ -99,7 +94,7 @@ def tempo_perturb(clip: AudioClip, rate: float) -> AudioClip:
     n_out = int(round(t / rate))
     positions = np.arange(n_out, dtype=np.float64) * rate
     resampled = np.interp(positions, np.arange(t, dtype=np.float64), clip.samples)
-    return AudioClip(resampled.astype(np.float32), clip.sample_rate)
+    return AudioClip(resampled.astype(np.float32))
 
 
 def pair_corpus(noisy_dir, clean_dir) -> list[CorpusPair]:
@@ -122,8 +117,6 @@ def pair_corpus(noisy_dir, clean_dir) -> list[CorpusPair]:
     for name in shared:
         noisy = read_wav(noisy_files[name])
         clean = read_wav(clean_files[name])
-        if noisy.sample_rate != clean.sample_rate:
-            raise DataError(f"{name}: sample rates differ ({noisy.sample_rate} vs {clean.sample_rate})")
         if len(noisy.samples) != len(clean.samples):
             raise DataError(
                 f"{name}: length mismatch (noisy {len(noisy.samples)} vs clean {len(clean.samples)})"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .audio import AudioClip, ensure_rate, pair_corpus, read_wav, write_wav
+from .audio import AudioClip, pair_corpus, read_wav, write_wav
 from .checkpoint import load_checkpoint
 from .config import RunConfig, parse_run_config
 from .errors import ConfigError, DataError, MannerError
@@ -94,10 +94,12 @@ def _output_paths(files: list[Path], out_dir: Path) -> list[Path]:
     return list(sources)
 
 
-def _enhance_clip(params, clip: AudioClip) -> np.ndarray:
+def _enhance_clip(params, clip: AudioClip, name: str) -> np.ndarray:
     x = Tensor(clip.samples[None, None, :])
-    y = manner_forward(x, params, params.config, training=False)
-    return np.clip(y.data[0, 0], -1.0, 1.0)
+    y = manner_forward(x, params, params.config, training=False).data[0, 0]
+    if not np.all(np.isfinite(y)):  # a NaN weight would otherwise be written as silence
+        raise MannerError(f"{name}: enhanced output is not finite; is the checkpoint damaged?")
+    return np.clip(y, -1.0, 1.0)
 
 
 def cmd_train(args) -> int:
@@ -131,9 +133,7 @@ def cmd_enhance(args) -> int:
     targets = _output_paths(files, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, target in zip(files, targets):
-        clip = ensure_rate(read_wav(path), str(path))
-        enhanced = _enhance_clip(params, clip)
-        write_wav(target, AudioClip(enhanced, clip.sample_rate))
+        write_wav(target, AudioClip(_enhance_clip(params, read_wav(path), str(path))))
         print(f"{path} -> {target}")
     return EXIT_OK
 
@@ -143,15 +143,13 @@ def cmd_eval(args) -> int:
     corpus = pair_corpus(args.noisy_dir, args.clean_dir)
     rows = []  # (name, before, after); None scores mark an unscored row
     for pair in corpus:
-        ensure_rate(pair.noisy, f"{pair.name} (noisy)")
-        ensure_rate(pair.clean, f"{pair.name} (clean)")
         try:
             before = si_snr(pair.noisy.samples, pair.clean.samples)
         except ValueError as exc:  # a silent reference has no SI-SNR
             log.warning("%s: unscored (%s)", pair.name, exc)
             rows.append((pair.name, None, None))
             continue
-        after = si_snr(_enhance_clip(params, pair.noisy), pair.clean.samples)
+        after = si_snr(_enhance_clip(params, pair.noisy, pair.name), pair.clean.samples)
         rows.append((pair.name, before, after))
     scored = [row for row in rows if row[1] is not None]
     if not scored:
@@ -195,7 +193,7 @@ def cmd_bench(args) -> int:
     else:
         cfg = parse_run_config(args.config) if args.config else RunConfig()
         variants = [args.variant] if args.variant != "both" else ["full", "small"]
-        configs = [replace(cfg.model, variant=v).validate() for v in variants]
+        configs = [replace(cfg.model, variant=v) for v in variants]
         builders = [lambda mc=mc: build_model(mc, seed=args.seed) for mc in configs]
 
     out_dir = Path(args.out)

@@ -145,30 +145,38 @@ def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, kernel: int, stride: i
     return gw.T
 
 
+def _depthwise(xp: np.ndarray, taps: np.ndarray, count: int) -> np.ndarray:
+    """Stride-1 per-channel correlation of xp [B, C, Tp] with taps [C, K]: [B, C, count].
+    The unoptimized einsum reads the window view in place; optimize=True would copy it."""
+    return np.einsum("bckt,ck->bct", time_windows(xp, taps.shape[1], 1, count), taps)
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
-    bias: Tensor | None = None,
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """Dense, or depthwise (groups == Cin == Cout), cross-correlation over
-    the last axis of a [B, Cin, T] tensor."""
+    """Dense, or stride-1 depthwise (groups == Cin == Cout), cross-correlation
+    over the last axis of a [B, Cin, T] tensor."""
     if x.ndim != 3:
         raise ValueError(f"conv1d input must be [B, Cin, T], got {x.shape}")
     if weight.ndim != 3:
         raise ValueError(f"conv1d weight must be [Cout, Cin/groups, K], got {weight.shape}")
-    b, cin, t = x.shape
+    _, cin, t = x.shape
     cout, cin_g, kw = weight.shape
     if stride < 1 or padding < 0 or groups < 1:
         raise ValueError("conv1d needs stride >= 1, padding >= 0, groups >= 1")
     if groups not in (1, cin) or (groups > 1 and cout != cin):
         raise ValueError(f"conv1d is dense (groups=1) or depthwise (groups=Cin=Cout), "
                          f"got groups={groups} for {cin} -> {cout} channels")
+    if groups > 1 and stride != 1:
+        raise ValueError(f"depthwise conv1d runs at stride 1 only, got stride={stride}")
     if cin_g != cin // groups:
         raise ValueError(f"weight expects {cin_g * groups} input channels, input has {cin}")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ValueError(f"bias must be [Cout]={cout}, got {bias.shape}")
     tout = conv_out_length(t, kw, stride, padding)
     if tout < 1:
@@ -182,23 +190,16 @@ def conv1d(
     if groups == 1:
         out = _correlate(xp, w2, kw, stride, tout)
     else:
-        # unoptimized einsum reads the window view in place; optimize=True copies it
-        out = np.einsum("bckt,ck->bct", time_windows(xp, kw, stride, tout), wd[:, 0])
-    if bias is not None:
-        out += bias.data[None, :, None]
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+        out = _depthwise(xp, wd[:, 0], tout)
+    out += bias.data[None, :, None]
 
     def bwd(g, needs):
         gx = None
         if needs[0]:
             if groups == 1:
                 gxp = _correlate_adjoint(g, w2, kw, stride, tp)
-            else:
-                # full correlation of the stride-dilated gradient with the flipped kernel
-                gd = np.zeros((b, cin, tp + kw - 1), dtype=g.dtype)
-                gd[..., kw - 1 : kw - 1 + (tout - 1) * stride + 1 : stride] = g
-                gxp = np.einsum("bckt,ck->bct", time_windows(gd, kw, 1, tp), wd[:, 0, ::-1])
+            else:  # full correlation of the gradient with the flipped taps
+                gxp = _depthwise(_pad_time(g, kw - 1), wd[:, 0, ::-1], tp)
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
@@ -208,17 +209,17 @@ def conv1d(
             if groups == 1:
                 gw = _correlate_weight_grad(xp, g, kw, stride).reshape(wd.shape)
             else:
-                gw = np.einsum("bct,bckt->ck", g, time_windows(xp, kw, stride, tout))[:, None, :]
-        gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+                gw = np.einsum("bct,bckt->ck", g, time_windows(xp, kw, 1, tout))[:, None, :]
+        gb = g.sum(axis=(0, 2)) if needs[2] else None
+        return (gx, gw, gb)
 
-    return apply_op(out, inputs, bwd)
+    return apply_op(out, (x, weight, bias), bwd)
 
 
 def conv_transpose1d(
     x: Tensor,
     weight: Tensor,
-    bias: Tensor | None = None,
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
@@ -233,7 +234,7 @@ def conv_transpose1d(
         raise ValueError(f"weight expects {wcin} input channels, input has {cin}")
     if stride < 1 or padding < 0:
         raise ValueError("conv_transpose1d needs stride >= 1, padding >= 0")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ValueError(f"bias must be [Cout]={cout}, got {bias.shape}")
     tfull = (t - 1) * stride + kw
     tout = tfull - 2 * padding
@@ -246,20 +247,17 @@ def conv_transpose1d(
     out = full[..., padding : padding + tout]
     if padding:
         out = np.ascontiguousarray(out)
-    if bias is not None:
-        out += bias.data[None, :, None]
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    out += bias.data[None, :, None]
     xd = x.data
 
     def bwd(g, needs):
         gp = _pad_time(g, padding)
         gx = _correlate(gp, w2, kw, stride, t) if needs[0] else None
         gw = _correlate_weight_grad(gp, xd, kw, stride).reshape(cin, cout, kw) if needs[1] else None
-        gb = g.sum(axis=(0, 2)) if bias is not None and needs[2] else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gb = g.sum(axis=(0, 2)) if needs[2] else None
+        return (gx, gw, gb)
 
-    return apply_op(out, inputs, bwd)
+    return apply_op(out, (x, weight, bias), bwd)
 
 
 def linear(x: Tensor, weight: Tensor) -> Tensor:

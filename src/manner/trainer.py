@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import TARGET_RATE, CorpusPair, ensure_rate, segment, tempo_perturb
+from .audio import TARGET_RATE, CorpusPair, segment, tempo_perturb
 from .checkpoint import save_checkpoint
 from .errors import TrainingDiverged
-from .loss import LossReport, StftConfig, default_resolutions, weighted_total_loss
+from .loss import StftConfig, weighted_total_loss
 from .model import ModelParams, manner_forward, trainable
 from .tensor import Tape, Tensor, backward, reshape
 
@@ -48,18 +48,16 @@ def zero_grads(params) -> None:
         t.grad = None
 
 
-def adam_step(params, grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place on the map's trainable tensors."""
+def adam_step(params, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update, in place on the map's trainable tensors,
+    from the `.grad` each holds after `backward`."""
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for name, p in trainable(params).items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name}")
+        g = p.grad
+        if g is None or g.shape != p.shape:
+            raise ValueError(f"{name}: no gradient of shape {p.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -158,7 +156,7 @@ def _segment_pairs(corpus: list[CorpusPair], seg: int, hop: int,
 
 
 def _evaluate(params: ModelParams, corpus: list[CorpusPair],
-              resolutions: tuple[StftConfig, ...], weighted: bool) -> float:
+              resolutions: tuple[StftConfig, ...] | None, weighted: bool) -> float:
     losses = []
     for pair in corpus:
         x = Tensor(pair.noisy.samples[None, None, :])
@@ -193,11 +191,7 @@ def train(
     settings.validate()
     if not corpus:
         raise ValueError("empty training corpus")
-    for pair in corpus:
-        ensure_rate(pair.noisy, f"{pair.name} (noisy)")
-        ensure_rate(pair.clean, f"{pair.name} (clean)")
     val_corpus = val_corpus or corpus
-    resolutions = default_resolutions() if resolutions is None else resolutions
 
     seg = int(round(settings.segment_seconds * TARGET_RATE))
     hop = int(round(settings.hop_seconds * TARGET_RATE))
@@ -248,8 +242,7 @@ def train(
                     raise TrainingDiverged(f"loss became {value} at step {state.t + 1}")
                 zero_grads(params)
                 backward(tape, loss)
-                grads = {n: t.grad for n, t in trainable(params).items()}
-                adam_step(params, grads, state, lr)
+                adam_step(params, state, lr)
 
                 losses.append(value)
                 emit(report.log_line(step=state.t, epoch=epoch + 1, lr=lr))

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from manner.audio import AudioClip, write_wav
+from manner.audio import TARGET_RATE, AudioClip, write_wav
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -35,12 +35,12 @@ def rng():
     return np.random.default_rng(0)
 
 
-def make_tone_pair(rng, seconds=1.0, freq=440.0, noise_scale=0.05, sample_rate=16000):
-    """A clean tone and its noisy mixture, the standard tiny fixture."""
-    t = int(seconds * sample_rate)
-    clean = (0.3 * np.sin(2 * np.pi * freq * np.arange(t) / sample_rate)).astype(np.float32)
+def make_tone_pair(rng, seconds=1.0, freq=440.0, noise_scale=0.05):
+    """A clean 16 kHz tone and its noisy mixture, the standard tiny fixture."""
+    t = int(seconds * TARGET_RATE)
+    clean = (0.3 * np.sin(2 * np.pi * freq * np.arange(t) / TARGET_RATE)).astype(np.float32)
     noisy = clean + noise_scale * rng.standard_normal(t).astype(np.float32)
-    return AudioClip(noisy, sample_rate), AudioClip(clean, sample_rate)
+    return AudioClip(noisy), AudioClip(clean)
 
 
 @pytest.fixture

@@ -310,7 +310,7 @@ def test_overfit_one_utterance():
     clean = voiced + 0.35 * rng.standard_normal(t)
     clean = (0.2 * clean / np.sqrt((clean ** 2).mean())).astype(np.float32)
     noisy = clean + 0.015 * rng.standard_normal(t).astype(np.float32)
-    corpus = [CorpusPair("utt", AudioClip(noisy, 16000), AudioClip(clean, 16000))]
+    corpus = [CorpusPair("utt", AudioClip(noisy), AudioClip(clean))]
 
     cfg = ModelConfig(base_channels=12, depth=2, chunk_size=16)
     params = build_model(cfg, seed=1)
@@ -363,7 +363,7 @@ def test_seed_determinism_and_resume(tmp_path):
         t = 16000
         clean = (0.3 * np.sin(2 * np.pi * freq * np.arange(t) / 16000)).astype(np.float32)
         noisy = clean + 0.05 * rng.standard_normal(t).astype(np.float32)
-        corpus.append(CorpusPair(f"p{i}", AudioClip(noisy, 16000), AudioClip(clean, 16000)))
+        corpus.append(CorpusPair(f"p{i}", AudioClip(noisy), AudioClip(clean)))
 
     def settings(max_steps=0):
         return TrainSettings(epochs=2, batch_size=2, seed=0, segment_seconds=0.5,
@@ -403,7 +403,7 @@ def test_ablation_switches(tmp_path):
     t = 8000
     clean = (0.3 * np.sin(2 * np.pi * 330.0 * np.arange(t) / 16000)).astype(np.float32)
     noisy = clean + 0.05 * rng.standard_normal(t).astype(np.float32)
-    corpus = [CorpusPair("p", AudioClip(noisy, 16000), AudioClip(clean, 16000))]
+    corpus = [CorpusPair("p", AudioClip(noisy), AudioClip(clean))]
 
     def build_from(model_extra="", trainer_extra=""):
         text = ("[model]\nbase_channels = 6\ndepth = 2\nchunk_size = 8\n"

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.io import wavfile
 
 from manner.audio import (
     AudioClip,
-    ensure_rate,
     pair_corpus,
     read_wav,
     segment,
@@ -28,9 +28,9 @@ def test_pcm16_roundtrip_quantizes_within_one_step(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.9, 0.9, size=1600).astype(np.float32)
     path = tmp_path / "x.wav"
-    write_wav(path, AudioClip(x, 16000))
+    write_wav(path, AudioClip(x))
+    assert wavfile.read(path)[0] == 16000
     back = read_wav(path)
-    assert back.sample_rate == 16000
     assert back.samples.dtype == np.float32
     assert np.max(np.abs(back.samples - x)) <= 1.0 / 32768.0
 
@@ -46,7 +46,7 @@ def test_float32_roundtrip_is_bit_exact(tmp_path):
 def test_write_wav_clips_out_of_range_values(tmp_path):
     x = np.array([2.0, -2.0, 0.0], dtype=np.float32)
     path = tmp_path / "x.wav"
-    write_wav(path, AudioClip(x, 16000))
+    write_wav(path, AudioClip(x))
     back = read_wav(path).samples
     assert back[0] == 32767 / 32768.0
     assert back[1] == -1.0
@@ -75,17 +75,17 @@ def test_read_rejects_garbage_and_missing(tmp_path):
         read_wav(tmp_path / "absent.wav")
 
 
-def test_ensure_rate_names_the_clip(tmp_path):
-    clip = AudioClip(np.zeros(80), 8000)
-    with pytest.raises(DataError, match="utt7"):
-        ensure_rate(clip, "utt7")
-    assert ensure_rate(AudioClip(np.zeros(80), 16000), "ok") is not None
+def test_read_wav_rejects_wrong_rate_naming_the_path(tmp_path):
+    path = tmp_path / "utt7.wav"
+    wavfile.write(path, 8000, np.zeros(80, dtype=np.int16))
+    with pytest.raises(DataError, match=re.escape(f"{path}: sample rate 8000 Hz, expected 16000 Hz")):
+        read_wav(path)
 
 
 def test_clip_rejects_non_mono_and_reports_duration():
     with pytest.raises(DataError):
-        AudioClip(np.zeros((2, 100)), 16000)
-    assert AudioClip(np.zeros(8000), 16000).duration == 0.5
+        AudioClip(np.zeros((2, 100)))
+    assert AudioClip(np.zeros(8000)).duration == 0.5
 
 
 # ---------------------------------------------------------------------
@@ -146,14 +146,14 @@ def test_segment_rejects_empty_signal():
 
 @pytest.mark.parametrize("rate,expected", [(1.1, 58182), (0.9, 71111), (1.0, 64000)])
 def test_tempo_length_frozen(rate, expected):
-    clip = AudioClip(np.zeros(64000, dtype=np.float32), 16000)
+    clip = AudioClip(np.zeros(64000, dtype=np.float32))
     assert len(tempo_perturb(clip, rate=rate).samples) == expected
 
 
 def test_tempo_identity_rate_is_bit_exact():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(5000).astype(np.float32)
-    out = tempo_perturb(AudioClip(x, 16000), rate=1.0)
+    out = tempo_perturb(AudioClip(x), rate=1.0)
     assert np.array_equal(out.samples, x)
 
 
@@ -161,7 +161,7 @@ def test_tempo_resamples_a_ramp_linearly():
     """Linear interpolation reproduces a linear signal exactly."""
     t = 1000
     x = (np.arange(t) / t).astype(np.float32)
-    out = tempo_perturb(AudioClip(x, 16000), rate=1.05).samples
+    out = tempo_perturb(AudioClip(x), rate=1.05).samples
     expected = np.arange(len(out)) * 1.05 / t
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -169,19 +169,19 @@ def test_tempo_resamples_a_ramp_linearly():
 @pytest.mark.parametrize("rate", [0.89, 1.11, 0.0, -1.0])
 def test_tempo_rejects_out_of_range(rate):
     with pytest.raises(ValueError):
-        tempo_perturb(AudioClip(np.zeros(100), 16000), rate=rate)
+        tempo_perturb(AudioClip(np.zeros(100)), rate=rate)
 
 
 # ---------------------------------------------------------------------
 # corpus pairing
 
 
-def write_tone(path, freq, n, sr=16000, noise=None, seed=0):
-    t = np.arange(n) / sr
+def write_tone(path, freq, n, noise=None, seed=0):
+    t = np.arange(n) / 16000
     x = 0.4 * np.sin(2 * np.pi * freq * t)
     if noise is not None:
         x = x + noise * np.random.default_rng(seed).standard_normal(n)
-    write_wav(path, AudioClip(x.astype(np.float32), sr))
+    write_wav(path, AudioClip(x.astype(np.float32)))
 
 
 def make_corpus(root, names, n=8000):
@@ -237,9 +237,9 @@ def test_pair_corpus_rejects_missing_directory(tmp_path):
 def test_pair_corpus_rejects_rate_mismatch(tmp_path):
     noisy, clean = make_corpus(tmp_path, ["a.wav"])
     x = np.zeros(8000, dtype=np.float32)
-    write_wav(noisy / "r.wav", AudioClip(x, 8000))
-    write_wav(clean / "r.wav", AudioClip(x, 16000))
-    with pytest.raises(DataError, match="sample rates differ"):
+    wavfile.write(noisy / "r.wav", 8000, x)
+    write_wav(clean / "r.wav", AudioClip(x))
+    with pytest.raises(DataError, match=re.escape(f"{noisy / 'r.wav'}: sample rate 8000 Hz")):
         pair_corpus(noisy, clean)
 
 

@@ -43,17 +43,21 @@ def test_adam_zero_gradient_changes_nothing_but_advances():
     params = make_params((3,), (2, 2))
     before = {n: t.data.copy() for n, t in params.items()}
     state = init_adam(params)
-    adam_step(params, {n: np.zeros_like(t.data) for n, t in params.items()}, state, lr=0.1)
+    for t in params.values():
+        t.grad = np.zeros_like(t.data)
+    adam_step(params, state, lr=0.1)
     assert state.t == 1
     for n, t in params.items():
         np.testing.assert_array_equal(t.data, before[n])
 
 
-def test_adam_missing_gradient_is_treated_as_zero():
-    params = make_params((4,))
-    before = params["p0"].data.copy()
-    adam_step(params, {}, init_adam(params), lr=0.1)
-    np.testing.assert_array_equal(params["p0"].data, before)
+def test_adam_missing_gradient_raises_naming_the_parameter():
+    """backward gives every leaf on the tape a .grad, so None means the
+    parameter never reached the loss's tape."""
+    params = make_params((4,), (2,))
+    params["p0"].grad = np.ones(4, dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^p1: no gradient of shape \(2,\)$"):
+        adam_step(params, init_adam(params), lr=0.1)
 
 
 def test_adam_first_step_moves_by_lr_against_the_gradient():
@@ -61,7 +65,8 @@ def test_adam_first_step_moves_by_lr_against_the_gradient():
     params = make_params((5,))
     before = params["p0"].data.copy()
     g = np.array([1.0, -2.0, 0.5, -0.1, 3.0], dtype=np.float32)
-    adam_step(params, {"p0": g}, init_adam(params), lr=1e-3)
+    params["p0"].grad = g
+    adam_step(params, init_adam(params), lr=1e-3)
     delta = params["p0"].data - before
     # float32 params plus the eps guard bound the relative slack at ~1e-5
     np.testing.assert_allclose(delta, -1e-3 * np.sign(g), rtol=1e-4)
@@ -70,11 +75,11 @@ def test_adam_first_step_moves_by_lr_against_the_gradient():
 def test_adam_constant_gradient_keeps_unit_steps():
     params = make_params((4,))
     state = init_adam(params)
-    g = np.array([0.3, -0.7, 2.0, -5.0], dtype=np.float32)
+    params["p0"].grad = np.array([0.3, -0.7, 2.0, -5.0], dtype=np.float32)
     lr = 1e-2
     for _ in range(20):
         before = params["p0"].data.copy()
-        adam_step(params, {"p0": g}, state, lr)
+        adam_step(params, state, lr)
         step = np.abs(params["p0"].data - before)
         np.testing.assert_allclose(step, lr, rtol=1e-4)
     assert state.t == 20
@@ -82,8 +87,9 @@ def test_adam_constant_gradient_keeps_unit_steps():
 
 def test_adam_rejects_shape_mismatch():
     params = make_params((3,))
+    params["p0"].grad = np.zeros(4, dtype=np.float32)
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, {"p0": np.zeros(4, dtype=np.float32)}, init_adam(params), lr=0.1)
+        adam_step(params, init_adam(params), lr=0.1)
 
 
 # ---------------------------------------------------------------------
@@ -359,17 +365,17 @@ def test_checkpoint_missing_file(tmp_path):
 # the training loop
 
 
-def tone_corpus(n_pairs=2, t=16000, sr=16000):
+def tone_corpus(n_pairs=2, t=16000):
     from manner.audio import AudioClip, CorpusPair
 
     pairs = []
     for i in range(n_pairs):
         rng = np.random.default_rng(100 + i)
-        grid = np.arange(t) / sr
+        grid = np.arange(t) / 16000
         clean = 0.4 * np.sin(2 * np.pi * (300 + 60 * i) * grid).astype(np.float32)
         noisy = clean + 0.05 * rng.standard_normal(t).astype(np.float32)
         pairs.append(CorpusPair(name=f"utt{i}.wav",
-                                noisy=AudioClip(noisy, sr), clean=AudioClip(clean, sr)))
+                                noisy=AudioClip(noisy), clean=AudioClip(clean)))
     return pairs
 
 
@@ -524,12 +530,26 @@ def test_empty_corpus_rejected():
         train(build_model(ModelConfig(**TOY), seed=0), [], toy_settings())
 
 
-def test_wrong_sample_rate_rejected():
-    from manner.errors import DataError
+def test_wrong_sample_rate_rejected(tmp_path, capsys):
+    """Training audio enters through read_wav, which takes 16 kHz only:
+    `manner train` exits 3 and names the file."""
+    from scipy.io import wavfile
 
-    corpus = tone_corpus(n_pairs=1, sr=8000)
-    with pytest.raises(DataError, match="sample rate"):
-        train(build_model(ModelConfig(**TOY), seed=0), corpus, toy_settings())
+    from manner.audio import write_wav
+    from manner.cli import main
+
+    for pair in tone_corpus(n_pairs=2):
+        for kind in ("noisy", "clean"):
+            (tmp_path / kind).mkdir(exist_ok=True)
+            write_wav(tmp_path / kind / pair.name, getattr(pair, kind))
+    bad = tmp_path / "clean" / "utt1.wav"
+    wavfile.write(bad, 8000, wavfile.read(bad)[1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nbase_channels = 6\ndepth = 2\nchunk_size = 8\n[data]\n"
+                   f"noisy_dir = {tmp_path / 'noisy'}\nclean_dir = {tmp_path / 'clean'}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    assert f"{bad}: sample rate 8000 Hz, expected 16000 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_unweighted_training_runs():
