@@ -644,6 +644,17 @@ def test_second_backward_on_a_consumed_tape_raises():
     np.testing.assert_allclose(x.grad, [2.0, -4.0])  # the first pass only
 
 
+def test_no_silent_broadcast_on_mismatched_shapes():
+    a = Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        add(a, Tensor(np.ones(3)))  # trailing-dim broadcast is not allowed
+    with pytest.raises(ValueError):
+        add(a, Tensor(np.ones((2, 2))))
+    # scalars and matching-ndim size-1 axes are the two sanctioned cases
+    assert add(a, 2.0).shape == (2, 3)
+    assert add(a, Tensor(np.ones((1, 3)))).shape == (2, 3)
+
+
 BINARY_OPS = {
     "add": (add, np.add),
     "sub": (sub, np.subtract),
