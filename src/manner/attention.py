@@ -206,6 +206,15 @@ def local_attention(x: Tensor, dw_weight: Tensor, dw_bias: Tensor,
     return transpose(reshape(gated, (b, p, ch, c)), (0, 2, 1, 3))
 
 
+def gated_unit(h: Tensor, params, name_a: str, name_b: str) -> Tensor:
+    """relu(sigmoid(conv_a(h)) * tanh(conv_b(h))), in [0, 1), from the 1x1
+    convs registered under `name_a` and `name_b`: the multi-view block's
+    residual gate and the decoder's mask."""
+    # no locals: both halves are freed once their product exists
+    return relu(mul(sigmoid(conv1d(h, *conv_tensors(params, name_a))),
+                    tanh(conv1d(h, *conv_tensors(params, name_b)))))
+
+
 def ma_block(x: Tensor, params, prefix: str, chunk_size: int) -> Tensor:
     """Three-view attention block with a gated residual connection.
 
@@ -239,5 +248,4 @@ def ma_block(x: Tensor, params, prefix: str, chunk_size: int) -> Tensor:
         out_l = merge(local_attention(chunk(x_l, chunk_size), *weights), x.shape[-1])
 
     z = conv(concat([out_c, out_g, out_l], axis=1), "exit")
-    gate = relu(mul(sigmoid(conv(z, "gate_a")), tanh(conv(z, "gate_b"))))
-    return add(x, mul(z, gate))
+    return add(x, mul(z, gated_unit(z, params, f"{prefix}.gate_a", f"{prefix}.gate_b")))

@@ -67,10 +67,10 @@ def save_checkpoint(path, params: ModelParams, optimizer=None,
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+    # sized against the file first: n may come from a damaged length field
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+    return f.read(n)
 
 
 def load_checkpoint(path, dtype=np.float32):
@@ -126,7 +126,7 @@ def load_checkpoint(path, dtype=np.float32):
             t = params[name]
             if shape != t.shape:
                 raise CheckpointError(f"{path}: shape {shape} for {name} does not match {t.shape}")
-            t.data[...] = read_array(shape, name).astype(dtype)
+            t.data[...] = read_array(shape, name)
 
         if optimizer is not None:
             slots = trainable(params)

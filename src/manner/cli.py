@@ -232,6 +232,9 @@ def main(argv=None) -> int:
     except (MannerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError:
+        print("error: out of memory; try shorter inputs or the small variant", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entry() -> None:

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import init_ma_block, ma_block
+from .attention import gated_unit, init_ma_block, ma_block
 from .nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
-from .tensor import Tensor, add, mul, narrow, pad_end, relu, sigmoid, tanh
+from .tensor import Tensor, add, mul, narrow, pad_end, relu
 
 # ResCon internals fixed across the model family.
 RESCON_GROWTH = 2
@@ -181,13 +181,6 @@ def up_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool)
     return _bn_relu(h, params, f"{prefix}.bn", training)
 
 
-def mask_gate(d: Tensor, params) -> Tensor:
-    """m = relu(sigmoid(conv_a(d)) * tanh(conv_b(d))), in [0, 1)."""
-    # no locals: both halves are freed once their product exists
-    return relu(mul(sigmoid(conv1d(d, *conv_tensors(params, "mask.a"))),
-                    tanh(conv1d(d, *conv_tensors(params, "mask.b")))))
-
-
 def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
                    training: bool = False) -> Tensor:
     """Enhance a [B, 1, T] waveform; output matches the input length.
@@ -225,6 +218,6 @@ def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
             h = ma_block(h, params, f"dec{layer}.ma", config.chunk_size)
         h = up_conv(h, params, f"dec{layer}.up", config, training)
 
-    masked = mul(mask_gate(h, params), x0)
+    masked = mul(gated_unit(h, params, "mask.a", "mask.b"), x0)
     y = conv1d(masked, *conv_tensors(params, "out"))
     return narrow(y, 0, t_raw)

@@ -34,26 +34,27 @@ class ParamInit:
     def _add(self, name: str, data: np.ndarray, trainable: bool) -> None:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self.params[name] = Tensor(data.astype(self.dtype), requires_grad=trainable)
+        self.params[name] = Tensor(data.astype(self.dtype, copy=False), requires_grad=trainable)
 
     def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
+        # float64 like uniform(): the freed buffers lift glibc's mmap threshold over forward temporaries
         data = np.zeros(shape) if self.rng is None else self.rng.uniform(-bound, bound, size=shape)
         self._add(name, data, True)
 
     def conv(self, name: str, cout: int, cin: int, kernel: int, groups: int = 1) -> None:
         """`name.weight` [Cout, Cin/groups, K] and `name.bias` for conv1d."""
         self.weight(f"{name}.weight", (cout, cin // groups, kernel), (cin // groups) * kernel)
-        self._add(f"{name}.bias", np.zeros(cout), True)
+        self._add(f"{name}.bias", np.zeros(cout, self.dtype), True)
 
     def conv_transpose(self, name: str, cin: int, cout: int, kernel: int) -> None:
         """`name.weight` [Cin, Cout, K] and `name.bias` for conv_transpose1d."""
         self.weight(f"{name}.weight", (cin, cout, kernel), cin * kernel)
-        self._add(f"{name}.bias", np.zeros(cout), True)
+        self._add(f"{name}.bias", np.zeros(cout, self.dtype), True)
 
     def batch_norm(self, name: str, channels: int) -> None:
         for field, fill in zip(BATCH_NORM_FIELDS, (1.0, 0.0, 0.0, 1.0)):
-            self._add(f"{name}.{field}", np.full(channels, fill), field in ("gamma", "beta"))
+            self._add(f"{name}.{field}", np.full(channels, fill, self.dtype), field in ("gamma", "beta"))
 
 
 def conv_tensors(params, name: str) -> tuple[Tensor, Tensor]:

@@ -10,6 +10,7 @@ op explicitly accepts.
 from __future__ import annotations
 
 import weakref
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,11 +77,6 @@ class Tensor:
             meter.release(counted)
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def from_op(self) -> bool:
-        """True once a taped op produced this tensor."""
-        return self._node is not None
 
     @property
     def node(self) -> "Node | None":
@@ -209,10 +205,6 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _parent(t: Tensor) -> "Node | Tensor | None":
     """Where an input's gradient goes: its live node, itself as a leaf, or nowhere."""
     if t._node is not None:
@@ -231,11 +223,10 @@ def apply_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
-    tape = active_tape()
-    if tape is not None and requires:
+    if requires and _TAPE_STACK:
         node = Node(tuple(_parent(t) for t in inputs), out, backward_fn)
         out._node = weakref.ref(node)
-        tape._nodes.append(node)
+        _TAPE_STACK[-1]._nodes.append(node)
     return out
 
 
@@ -253,7 +244,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if tape.consumed:
         raise ValueError("this tape's backward has already run; record a new tape to differentiate again")
     tape.consumed = True
-    root = loss.node if loss.from_op else loss
+    root = loss.node or loss
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     for node in reversed(tape._nodes):
@@ -464,14 +455,13 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     if a.shape[ax] == 0:
         raise ValueError("max over an empty axis")
     out = a.data.max(axis=ax, keepdims=keepdims)
-    expanded = out if keepdims else np.expand_dims(out, ax)
-    hit = a.data == expanded
-    first = np.cumsum(hit, axis=ax) == 1
-    mask = hit & first
+    first = np.expand_dims(np.argmax(a.data, axis=ax), ax)  # np.argmax keeps the first of ties
+    shape = a.shape
 
     def bwd(g, needs):
-        gg = g if keepdims else np.expand_dims(g, ax)
-        return (mask * gg,)
+        full = np.zeros(shape, dtype=g.dtype)
+        np.put_along_axis(full, first, g if keepdims else np.expand_dims(g, ax), axis=ax)
+        return (full,)
 
     return apply_op(out, (a,), bwd)
 
@@ -498,8 +488,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise ValueError("concat of zero tensors")
     ax = axis % tensors[0].ndim
     out = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = list(accumulate(t.shape[ax] for t in tensors[:-1]))
 
     def bwd(g, needs):
         parts = np.split(g, splits, axis=ax)

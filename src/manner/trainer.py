@@ -128,13 +128,13 @@ def onecycle_lr(step: int, settings: TrainSettings, steps_per_epoch: int) -> flo
 
 @dataclass
 class TrainResult:
-    steps: int
-    log_lines: list[str]
-    train_losses: list[float]
-    val_history: list[tuple[int, float]]  # (epoch, mean validation loss)
-    best_val: float
-    best_path: Path | None
-    last_path: Path | None
+    steps: int = 0
+    log_lines: list[str] = field(default_factory=list)
+    train_losses: list[float] = field(default_factory=list)
+    val_history: list[tuple[int, float]] = field(default_factory=list)  # (epoch, mean validation loss)
+    best_val: float = math.inf
+    best_path: Path | None = None
+    last_path: Path | None = None
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -204,15 +204,11 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
         log_file = open(out_path / "train_log.txt", "a" if start_epoch else "w")
 
-    lines: list[str] = []
-    losses: list[float] = []
-    val_history: list[tuple[int, float]] = []
-    best_val = math.inf
-    best_path = last_path = None
+    result = TrainResult()
     stop = False
 
     def emit(line: str) -> None:
-        lines.append(line)
+        result.log_lines.append(line)
         log.info("%s", line)
         if log_file is not None:
             log_file.write(line + "\n")
@@ -244,7 +240,7 @@ def train(
                 backward(tape, loss)
                 adam_step(params, state, lr)
 
-                losses.append(value)
+                result.train_losses.append(value)
                 emit(report.log_line(step=state.t, epoch=epoch + 1, lr=lr))
                 if settings.max_steps and state.t >= settings.max_steps:
                     stop = True
@@ -254,28 +250,20 @@ def train(
             improved = False
             if run_val:
                 val = _evaluate(params, val_corpus, resolutions, settings.weighted_loss)
-                val_history.append((epoch + 1, val))
+                result.val_history.append((epoch + 1, val))
                 emit(f"val epoch={epoch + 1} loss={val:.6g}")
-                improved = val < best_val
-                best_val = min(best_val, val)
+                improved = val < result.best_val
+                result.best_val = min(result.best_val, val)
             if out_path is not None:
-                last_path = out_path / "last.ckpt"
-                save_checkpoint(last_path, params, state, step=state.t, epoch=epoch + 1)
+                result.last_path = out_path / "last.ckpt"
+                save_checkpoint(result.last_path, params, state, step=state.t, epoch=epoch + 1)
                 if improved:
-                    best_path = out_path / "best.ckpt"
-                    save_checkpoint(best_path, params, state, step=state.t, epoch=epoch + 1)
+                    result.best_path = out_path / "best.ckpt"
+                    save_checkpoint(result.best_path, params, state, step=state.t, epoch=epoch + 1)
             if stop:
                 break
     finally:
         if log_file is not None:
             log_file.close()
-
-    return TrainResult(
-        steps=state.t,
-        log_lines=lines,
-        train_losses=losses,
-        val_history=val_history,
-        best_val=best_val,
-        best_path=best_path,
-        last_path=last_path,
-    )
+    result.steps = state.t
+    return result

@@ -14,6 +14,7 @@ import pytest
 
 from manner.attention import (
     channel_attention,
+    gated_unit,
     global_attention,
     init_channel_attention,
     init_global_attention,
@@ -22,8 +23,8 @@ from manner.attention import (
     local_attention,
     ma_block,
 )
-from manner.audio import AudioClip, CorpusPair
-from manner.bench import run_bench
+from manner.audio import TARGET_RATE, AudioClip, CorpusPair
+from manner.bench import BenchRow
 from manner.checkpoint import load_checkpoint
 from manner.chunker import chunk, merge
 from manner.config import parse_run_config
@@ -35,12 +36,11 @@ from manner.model import (
     down_conv,
     init_rescon,
     manner_forward,
-    mask_gate,
     num_params,
     rescon,
 )
 from manner.nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
-from manner.tensor import Tensor, finite_diff_check, mul, relu, tsum
+from manner.tensor import Tensor, finite_diff_check, meter, mul, relu, tsum
 from manner.trainer import TrainSettings, train
 
 SMALL_RES = (StftConfig(64, 16, 32), StftConfig(128, 32, 64))
@@ -171,7 +171,7 @@ def _gradcheck_cases(dtype):
     _wake_kinks([toy["mask.a.bias"], toy["mask.b.bias"]], rng)
     d = Tensor(rng.standard_normal((1, 6, 16)).astype(dtype), requires_grad=True)
     cases.append(("mask_gate",
-                  lambda *_: _sq(mask_gate(d, toy)),
+                  lambda *_: _sq(gated_unit(d, toy, "mask.a", "mask.b")),
                   [d, *conv_tensors(toy, "mask.a"), *conv_tensors(toy, "mask.b")], None,
                   MASK_EPS32 if f32 else None))
 
@@ -337,12 +337,29 @@ def test_variant_time_and_memory():
     models = {variant: build_model(ModelConfig(variant=variant).validate(), seed=0)
               for variant in ("full", "small")}
     rows = {variant: [] for variant in models}
+
+    def measure(params, s):
+        """run_bench's row for one length, timed in CPU time: a wall clock
+        would also count the time another process holds the CPU."""
+        x = 0.1 * np.random.default_rng(0).standard_normal(s * TARGET_RATE).astype(np.float32)
+        x = Tensor(x[None, None, :])
+        manner_forward(x, params, params.config)
+        times, peak = [], 0
+        for _ in range(3):
+            meter.reset_peak()
+            t0 = time.process_time()
+            out = manner_forward(x, params, params.config)
+            times.append((time.process_time() - t0) * 1000.0)
+            peak = max(peak, meter.peak)
+            del out
+        return BenchRow(length_s=s, median_ms=float(np.median(times)), peak_bytes=peak)
+
     # the variants alternate per length, so a burst of CPU contention from
     # another process lands on both sides of each comparison
     for s in lengths:
         order = ("full", "small") if s % 2 else ("small", "full")
         for variant in order:
-            rows[variant] += run_bench(models[variant], [s], runs=3, seed=0).rows
+            rows[variant].append(measure(models[variant], s))
 
     for full_row, small_row in zip(rows["full"], rows["small"]):
         assert small_row.median_ms <= full_row.median_ms, f"at {full_row.length_s}s"

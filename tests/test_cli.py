@@ -4,6 +4,7 @@ CLI tests drive main() in-process and assert on exit codes plus the files
 each subcommand leaves behind. A toy model keeps every run under a second.
 """
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.io import wavfile
 
 from manner.audio import AudioClip, read_wav, write_wav
 from manner.checkpoint import save_checkpoint
+from manner import cli
 from manner.cli import main
 from manner.config import RunConfig, parse_run_config
 from manner.errors import ConfigError
@@ -338,6 +340,30 @@ def test_enhance_corrupt_checkpoint_exits_3(tmp_path, corpus_dirs, capsys):
     assert main(["enhance", str(noisy), "--checkpoint", str(bad),
                  "--out", str(tmp_path / "enh")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [2**62, 2**64 - 1], ids=["2^62", "2^64-1"])
+def test_enhance_damaged_header_length_exits_3(tmp_path, corpus_dirs, capsys, length):
+    """A header-length field larger than the file is refused before any read."""
+    noisy, _ = corpus_dirs
+    ckpt = toy_checkpoint(tmp_path)
+    blob = bytearray(ckpt.read_bytes())
+    blob[12:20] = struct.pack("<Q", length)
+    ckpt.write_bytes(bytes(blob))
+    assert main(["enhance", str(noisy), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "enh")]) == 3
+    assert "truncated checkpoint while reading header" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_4(tmp_path, corpus_dirs, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "manner_forward", out_of_memory)
+    noisy, _ = corpus_dirs
+    assert main(["enhance", str(noisy), "--checkpoint", str(toy_checkpoint(tmp_path)),
+                 "--out", str(tmp_path / "enh")]) == 4
+    assert capsys.readouterr().err.startswith("error: out of memory")
 
 
 def test_enhance_checkpoint_entry_without_shape_exits_3(tmp_path, corpus_dirs, rewrite_header,

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from manner.attention import gated_unit
 from manner.loss import weighted_total_loss
 from manner.model import (
     ModelConfig,
@@ -16,7 +17,6 @@ from manner.model import (
     down_conv,
     init_rescon,
     manner_forward,
-    mask_gate,
     num_params,
     rescon,
     trainable,
@@ -257,14 +257,14 @@ def test_mask_gate_range_and_zero_case():
     rng = np.random.default_rng(2)
     params = build_model(ModelConfig(**TOY), seed=0, dtype=np.float64)
     d = Tensor(rng.standard_normal((2, 6, 30)))
-    m = mask_gate(d, params).data
+    m = gated_unit(d, params, "mask.a", "mask.b").data
     assert m.shape == (2, 6, 30)
     assert np.all(m >= 0.0) and np.all(m < 1.0)
 
     params["mask.a.weight"].data[:] = 0.0
     params["mask.b.weight"].data[:] = 0.0
     params["mask.b.bias"].data[:] = 0.0
-    np.testing.assert_array_equal(mask_gate(d, params).data, np.zeros((2, 6, 30)))
+    np.testing.assert_array_equal(gated_unit(d, params, "mask.a", "mask.b").data, np.zeros((2, 6, 30)))
 
 
 @pytest.mark.parametrize("t", [1, 5, 16, 63, 64, 255, 256, 1000])

@@ -497,12 +497,48 @@ def test_pool_values():
     np.testing.assert_allclose(tmean(const, axis=1).data, tmax(const, axis=1).data)
 
 
-def test_max_gradient_routes_to_first_argmax():
-    x = Tensor(np.array([[1.0, 3.0, 3.0, 2.0]]), requires_grad=True)
+# [1, 3, 4] with ties along both pooled axes: rows 1 and 2 tie within
+# themselves, and column 2 ties between rows 1 and 2
+TIED_3D = [[[1.0, 3.0, 3.0, 2.0],
+            [5.0, 0.0, 5.0, 5.0],
+            [2.0, 4.0, 5.0, 4.0]]]
+
+
+@pytest.mark.parametrize("x,axis,keepdims", [
+    ([[1.0, 3.0, 3.0, 2.0]], 1, False),
+    (TIED_3D, 1, True),  # local attention pools over channels
+    (TIED_3D, 2, False),  # channel attention pools over time
+], ids=["row", "channels-keepdims", "time"])
+def test_max_gradient_routes_to_first_argmax(x, axis, keepdims):
+    x = Tensor(np.array(x), requires_grad=True)
+    out_shape = np.max(x.data, axis=axis, keepdims=keepdims).shape
+    w = np.arange(1.0, 1.0 + np.prod(out_shape)).reshape(out_shape)  # a distinct upstream gradient per max
     with Tape() as tape:
-        loss = tsum(tmax(x, axis=1))
+        loss = tsum(mul(tmax(x, axis=axis, keepdims=keepdims), Tensor(w)))
     backward(tape, loss)
-    np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0]])
+    # oracle: walk each pooled line and credit its first maximum
+    expected = np.zeros_like(x.data)
+    lines, target = np.moveaxis(x.data, axis, -1), np.moveaxis(expected, axis, -1)
+    g = np.moveaxis(w if keepdims else np.expand_dims(w, axis), axis, -1)[..., 0]
+    for pos in np.ndindex(g.shape):
+        line = list(lines[pos])
+        target[pos][line.index(max(line))] = g[pos]
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_max_keeps_only_argmax_indices_for_backward():
+    """A taped max saves the [..., 1] argmax indices, not an input-sized mask."""
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 64, 8192)).astype(np.float32),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = tmax(x, axis=2)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held < 64 * 2**10, f"taped max holds {held} bytes besides its output"
 
 
 def test_maximum_ties_prefer_first_argument():
