@@ -11,9 +11,29 @@ seed and as the median over seeds. This is the precision figure a change
 that moves float32 rounding must not make worse.
 
     python demos/grad_precision.py --seeds 12
+
+One run of the error is chaotic: a change that only reorders float32 sums
+can move one seed's error several-fold. `--ulp-trials N` adds N Monte Carlo
+arithmetic trials per seed (Parker, "Monte Carlo Arithmetic", 1997): trial
+t moves every float32 input sample one ulp up or down, with signs drawn
+from `default_rng([t, seed])`, so two trees see the same perturbations.
+The per-seed figure is then the median over trials 0..N, trial 0 being the
+unperturbed run. The gate compares a change with its parent seed by seed:
+
+    # parent tree, 2N+2 trials; fixes the threshold before the change runs
+    python demos/grad_precision.py --ulp-trials 13 --save parent.json
+    # change tree, trials 0..6 on the same seeds
+    python demos/grad_precision.py --ulp-trials 6 --gate parent.json
+
+The statistic is the median over seeds of change/parent per-seed medians.
+The threshold is the 95th percentile of the same statistic over every
+split of the parent's own trials into two halves, i.e. how far reshuffled
+rounding alone moves it. The gate exits 1 when the statistic exceeds it.
 """
 
 import argparse
+import itertools
+import json
 
 import numpy as np
 
@@ -47,11 +67,45 @@ def gradients(params, noisy, clean, dtype):
     return np.concatenate([t.grad.astype(np.float64).ravel() for t in trainable(params).values()])
 
 
-def relative_error(seed, p32, p64):
+################################################################################
+# Trial 0 rounds the inputs to float32; a perturbed trial then moves each
+# sample one ulp. The float64 reference keeps the unrounded inputs, so it is
+# run once per seed.
+
+def nudge(x32, rng):
+    """x32 with every element moved one ulp towards +inf or -inf at random."""
+    towards = np.where(rng.integers(0, 2, x32.shape) == 1, np.float32(np.inf), np.float32(-np.inf))
+    return np.nextafter(x32, towards)
+
+
+def trial_errors(seed, p32, p64, trials):
+    """Relative errors of trials 0..trials on one input seed."""
     noisy, clean = batch(seed)
-    g32 = gradients(p32, noisy, clean, np.float32)
     g64 = gradients(p64, noisy, clean, np.float64)
-    return float(np.linalg.norm(g32 - g64) / np.linalg.norm(g64))
+    errors = []
+    for trial in range(trials + 1):
+        n32, c32 = noisy.astype(np.float32), clean.astype(np.float32)
+        if trial:
+            rng = np.random.default_rng([trial, seed])
+            n32, c32 = nudge(n32, rng), nudge(c32, rng)
+        g32 = gradients(p32, n32, c32, np.float32)
+        errors.append(float(np.linalg.norm(g32 - g64) / np.linalg.norm(g64)))
+    return errors
+
+
+def paired_statistic(change, parent):
+    """Median over seeds of change/parent, each a median over its trials."""
+    return float(np.median(np.median(change, axis=1) / np.median(parent, axis=1)))
+
+
+def split_threshold(parent, quantile=0.95):
+    """The statistic's `quantile` over all splits of the parent's trials
+    into two equal halves: what reshuffled rounding alone reads."""
+    parent = np.asarray(parent)
+    cols = range(parent.shape[1])
+    stats = [paired_statistic(parent[:, list(a)], parent[:, [c for c in cols if c not in a]])
+             for a in itertools.combinations(cols, parent.shape[1] // 2)]
+    return float(np.quantile(stats, quantile))
 
 
 ################################################################################
@@ -62,14 +116,39 @@ def relative_error(seed, p32, p64):
 def main(argv=None):
     parser = argparse.ArgumentParser(description="float32 vs float64 gradient error of one training step")
     parser.add_argument("--seeds", type=int, default=12, help="input seeds 0..N-1")
+    parser.add_argument("--ulp-trials", type=int, default=0, help="±1-ulp input trials per seed")
+    parser.add_argument("--save", help="write the per-seed, per-trial errors to this JSON file")
+    parser.add_argument("--gate", help="JSON a parent tree saved with at least 2N+2 trials")
     args = parser.parse_args(argv)
     p32, p64 = (build_model(ModelConfig(), seed=0, dtype=dt) for dt in (np.float32, np.float64))
-    errors = []
+    rows = []
     for seed in range(args.seeds):
-        errors.append(relative_error(seed, p32, p64))
-        print(f"seed {seed:3d}: {100 * errors[-1]:.4f}%", flush=True)
-    print(f"median over {args.seeds} seeds: {100 * float(np.median(errors)):.4f}%")
+        rows.append(trial_errors(seed, p32, p64, args.ulp_trials))
+        line = f"seed {seed:3d}: {100 * rows[-1][0]:.4f}%"
+        if args.ulp_trials:
+            trials = " ".join(f"{100 * e:.4f}" for e in rows[-1][1:])
+            line += f" trials [{trials}] median {100 * float(np.median(rows[-1])):.4f}%"
+        print(line, flush=True)
+    rows = np.array(rows)
+    print(f"median over {args.seeds} seeds: {100 * float(np.median(rows[:, 0])):.4f}%")
+    if args.ulp_trials:
+        print(f"median over {args.seeds} seeds of {args.ulp_trials + 1}-trial medians: "
+              f"{100 * float(np.median(np.median(rows, axis=1))):.4f}%")
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump({"seeds": args.seeds, "errors": rows.tolist()}, f)
+    if args.gate:
+        with open(args.gate) as f:
+            parent = np.array(json.load(f)["errors"])
+        if parent.shape[0] != args.seeds or parent.shape[1] < 2 * (args.ulp_trials + 1):
+            raise SystemExit(f"{args.gate} needs {args.seeds} seeds and >= {2 * (args.ulp_trials + 1)} trials")
+        threshold = split_threshold(parent[:, : 2 * (args.ulp_trials + 1)])
+        stat = paired_statistic(rows, parent[:, : args.ulp_trials + 1])
+        verdict = "pass" if stat <= threshold else "FAIL"
+        print(f"gate: change/parent {stat:.4f}, threshold {threshold:.4f} (parent split): {verdict}")
+        return 0 if stat <= threshold else 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

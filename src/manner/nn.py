@@ -6,6 +6,8 @@ Layouts follow the [batch, channels, time] convention; conv weights are
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor, apply_op
@@ -146,10 +148,44 @@ def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, kernel: int, stride: i
     return gw.T
 
 
-def _depthwise(xp: np.ndarray, taps: np.ndarray, count: int) -> np.ndarray:
-    """Stride-1 per-channel correlation of xp [B, C, Tp] with taps [C, K]: [B, C, count].
-    The unoptimized einsum reads the window view in place; optimize=True would copy it."""
-    return np.einsum("bckt,ck->bct", time_windows(xp, taps.shape[1], 1, count), taps)
+def _blocks(x: np.ndarray, padding: int, kernel: int, count: int) -> np.ndarray:
+    """x [B, C, T] zero-padded by `padding` at the head, as nb blocks of L
+    outputs with their K-1 halo samples: a contiguous [C, B*nb, L+K-1] copy.
+    L = min(32, isqrt(B*count)), so a short input gets a small band."""
+    b, c, t = x.shape
+    length = min(32, math.isqrt(b * count))
+    nb = -(-count // length)
+    xp = np.zeros((b, c, nb * length + kernel - 1), x.dtype)
+    xp[..., padding : padding + t] = x
+    blk = time_windows(xp, length + kernel - 1, length, nb).transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(blk).reshape(c, b * nb, -1)
+
+
+def _depthwise(x: np.ndarray, taps: np.ndarray, padding: int, count: int) -> np.ndarray:
+    """Stride-1 per-channel correlation of x [B, C, T], zero-padded by
+    `padding` at the head, with taps [C, K]: [B, C, count]. Each block of L
+    outputs is one product with its channel's band [L+K-1, L], band[c, j+k, j]
+    = taps[c, k], copied from a negative-stride view of a zero-padded tap row."""
+    b, (c, kw) = len(x), taps.shape
+    blk = _blocks(x, padding, kw, count)
+    width, length = blk.shape[2], blk.shape[2] - kw + 1
+    row = np.zeros((c, length + width - 1), taps.dtype)
+    row[:, length - 1 : length - 1 + kw] = taps
+    band = time_windows(row[:, length - 1 :], width, -1, length).copy()
+    out = np.empty((b, c, blk.shape[1] // b, length), np.result_type(blk, band))
+    np.matmul(blk.reshape(c, b, -1, width), band[:, None], out=out.transpose(1, 0, 2, 3))
+    return out.reshape(b, c, -1)[..., :count]
+
+
+def _depthwise_weight_grad(x: np.ndarray, g: np.ndarray, padding: int, kernel: int) -> np.ndarray:
+    """Taps-adjoint of _depthwise, [C, K] from x and the output gradient g: one
+    per-channel [L, B*nb] @ [B*nb, L+K-1] product, then its K band diagonal sums."""
+    c, count = g.shape[1:]
+    # g's blocks share x's L and are zero past count
+    prod = np.matmul(_blocks(g, 0, 1, count).swapaxes(1, 2), _blocks(x, padding, kernel, count))
+    length, width = prod.shape[1:]
+    # diagonal k of row j sits at flat offset j*(width+1) + k
+    return time_windows(prod.reshape(c, -1), kernel, width + 1, length).sum(axis=-1)
 
 
 def conv1d(
@@ -184,33 +220,30 @@ def conv1d(
         raise ValueError(f"conv1d output length {tout} < 1 (T={t}, K={kw}, S={stride}, P={padding})")
 
     xd = x.data
-    xp = _pad_time(xd, padding)
-    tp = xp.shape[-1]
     wd = weight.data
     w2 = wd.reshape(cout, cin_g * kw)
     if groups == 1:
-        out = _correlate(xp, w2, kw, stride, tout)
+        out = _correlate(_pad_time(xd, padding), w2, kw, stride, tout)
     else:
-        out = _depthwise(xp, wd[:, 0], tout)
+        out = _depthwise(xd, wd[:, 0], padding, tout)
     out += bias.data[None, :, None]
 
     def bwd(g, needs):
         gx = None
         if needs[0]:
             if groups == 1:
-                gxp = _correlate_adjoint(g, w2, kw, stride, tp)
+                gxp = _correlate_adjoint(g, w2, kw, stride, t + 2 * padding)
             else:  # full correlation of the gradient with the flipped taps
-                gxp = _depthwise(_pad_time(g, kw - 1), wd[:, 0, ::-1], tp)
+                gxp = _depthwise(g, wd[:, 0, ::-1], kw - 1, t + 2 * padding)
             gx = gxp[..., padding : padding + t] if padding else gxp
         gw = None
         if needs[1]:
-            # pad x again rather than keep a padded copy beside the input
-            # array, which the op before (a relu, a mul) usually keeps too
-            xp = _pad_time(xd, padding)
             if groups == 1:
-                gw = _correlate_weight_grad(xp, g, kw, stride).reshape(wd.shape)
+                # pad x again rather than keep a padded copy beside the input
+                # array, which the op before (a relu, a mul) usually keeps too
+                gw = _correlate_weight_grad(_pad_time(xd, padding), g, kw, stride).reshape(wd.shape)
             else:
-                gw = np.einsum("bct,bckt->ck", g, time_windows(xp, kw, 1, tout))[:, None, :]
+                gw = _depthwise_weight_grad(xd, g, padding, kw)[:, None, :]
         gb = g.sum(axis=(0, 2)) if needs[2] else None
         return (gx, gw, gb)
 

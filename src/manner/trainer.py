@@ -54,17 +54,24 @@ def adam_step(params, state: AdamState, lr: float) -> None:
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in trainable(params).items():
+    tensors = trainable(params)
+    # two scratch buffers for the step: each update runs the ops of
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in order, into them
+    scratch = np.empty((2, max(p.size for p in tensors.values())), next(iter(tensors.values())).dtype)
+    for name, p in tensors.items():
         g = p.grad
         if g is None or g.shape != p.shape:
             raise ValueError(f"{name}: no gradient of shape {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        a, b = (buf[: p.size].reshape(p.shape) for buf in scratch)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data[...] = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - state.beta2, out=a)
+        np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += state.eps
+        p.data -= np.divide(a, b, out=a)
 
 
 @dataclass

@@ -139,6 +139,8 @@ def test_conv1d_length_formula():
         (2, 6, 6, 9, 3, 1, 1, 6, True),  # depthwise
         (3, 2, 5, 7, 7, 1, 3, 1, True),  # kernel spans padded input
         (2, 4, 4, 40, 31, 1, 15, 4, True),  # the model's depthwise: K=31, P=15
+        (3, 5, 5, 71, 31, 1, 15, 5, True),  # depthwise, B > 1, 71 outputs in blocks of L=14
+        (40, 3, 3, 5, 3, 1, 1, 3, True),  # depthwise, 5 outputs < one block of L=14
     ],
 )
 def test_conv1d_matches_loop_oracle(b, cin, cout, t, kw, stride, padding, groups, use_bias):
@@ -185,7 +187,9 @@ def test_depthwise_backward_matches_block_diagonal_dense(stride, padding, kw):
 
 
 def test_depthwise_forward_copies_no_windows():
-    """The window view is read in place: a [B,C,K,T] copy would peak near
+    """The kernel copies the input once into blocks of L outputs with their
+    K-1 halo samples, (L+K-1)/L ~ 1.9 times the input, and frees its padded
+    copy before the output exists; a [B,C,K,T] window copy would peak near
     K times the input."""
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((1, 64, 8000)).astype(np.float32))
@@ -199,6 +203,52 @@ def test_depthwise_forward_copies_no_windows():
         tracemalloc.stop()
     assert out.shape == x.shape
     assert peak < 4 * x.data.nbytes
+
+
+def depthwise_einsum(x, taps, padding, count):
+    """The einsum over the window view that the banded kernel replaced,
+    kept as the float32 rounding reference."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    return np.einsum("bckt,ck->bct", time_windows(xp, taps.shape[1], 1, count), taps)
+
+
+def depthwise_einsum_grads(x, taps, g, padding):
+    """(output, grad-x, grad-w) of the einsum depthwise conv under upstream g."""
+    t, kw = x.shape[-1], taps.shape[1]
+    y = depthwise_einsum(x, taps, padding, g.shape[-1])
+    gx = depthwise_einsum(g, taps[:, ::-1], kw - 1, t + 2 * padding)[..., padding : padding + t]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    gw = np.einsum("bct,bckt->ck", g, time_windows(xp, kw, 1, g.shape[-1]))
+    return y, gx, gw
+
+
+# every depthwise conv of a full-model training step at B=2 x 1 s
+TRAIN_STEP_DEPTHWISE = [(2, 120, 4032), (250, 20, 64), (2, 240, 1008), (62, 40, 64), (2, 480, 252),
+                        (14, 80, 64), (2, 960, 63), (2, 160, 64), (2, 1920, 63), (2, 320, 64),
+                        (2, 960, 252), (14, 160, 64), (2, 480, 1008), (2, 240, 4032)]
+
+
+@pytest.mark.parametrize("shape", TRAIN_STEP_DEPTHWISE, ids=lambda s: "x".join(map(str, s)))
+def test_depthwise_float32_error_at_most_twice_einsum(shape):
+    """At the model's shapes, the float32 forward, grad-x and grad-w err
+    against float64 by at most twice what the einsum kernel did."""
+    b, c, t = shape
+    rng = np.random.default_rng(c + t)
+    x = rng.standard_normal(shape).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    w = rng.uniform(-1 / np.sqrt(31), 1 / np.sqrt(31), (c, 1, 31)).astype(np.float32)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape() as tape:
+        y = conv1d(xt, wt, zero_bias(c), padding=15, groups=c)
+        loss = tsum(mul(y, Tensor(g)))
+    backward(tape, loss)
+    banded = (y.data, xt.grad, wt.grad[:, 0])
+    einsum32 = depthwise_einsum_grads(x, w[:, 0], g, 15)
+    exact = depthwise_einsum_grads(x.astype(np.float64), w[:, 0].astype(np.float64), g.astype(np.float64), 15)
+    for name, got, ref, want in zip(("forward", "grad-x", "grad-w"), banded, einsum32, exact):
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        ref_err = np.linalg.norm(ref - want) / np.linalg.norm(want)
+        assert err <= 2 * ref_err, f"{name}: {err:.2e} against einsum {ref_err:.2e}"
 
 
 def test_depthwise_rejects_stride():
@@ -844,6 +894,24 @@ def test_finite_diff_conv_ops(op, stride, padding, groups):
         b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
         f = lambda *p: tsum(conv_transpose1d(*p, stride=stride, padding=padding))
     assert finite_diff_check(f, [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "b,t,kw,padding",
+    [(3, 23, 5, 2), (20, 4, 3, 1), (1, 50, 31, 15)],
+    ids=["count-not-multiple-of-L", "count-below-L", "model-kernel"],
+)
+def test_finite_diff_depthwise_blocks(b, t, kw, padding):
+    """Depthwise gradients where the blocks do not tile the output: 23
+    outputs in blocks of L=8 (B=3), 4 outputs under one block of L=8 (B=20),
+    and K=31 with 50 outputs in blocks of L=7, under a random upstream."""
+    rng = np.random.default_rng(t * 10 + kw)
+    x = Tensor(rng.standard_normal((b, 3, t)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.standard_normal((3, 1, kw)), requires_grad=True, dtype=np.float64)
+    bias = Tensor(rng.standard_normal(3), requires_grad=True, dtype=np.float64)
+    r = Tensor(rng.standard_normal((b, 3, t + 2 * padding - kw + 1)), dtype=np.float64)
+    f = lambda *p: tsum(mul(conv1d(*p, padding=padding, groups=3), r))
+    assert finite_diff_check(f, [x, w, bias]) < 1e-6
 
 
 def test_finite_diff_nonlinear_composite_uses_squares():
