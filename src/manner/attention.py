@@ -27,8 +27,10 @@ from .tensor import (
     tmean,
     transpose,
 )
-# Unused here; perfbench/worker.py wraps both names on this module when tracing.
-from .tensor import matmul, softmax  # noqa: F401
+# Placeholders for perfbench/worker.py, which wraps both names when tracing;
+# attend fuses both ops. The benchmark change that retires the tensor.matmul.*
+# and tensor.softmax.* metrics removes them.
+matmul = softmax = None
 
 LOCAL_FUSE_KERNEL = 7
 GLOBAL_WEIGHTS = ("wq", "wk", "wv", "wout")

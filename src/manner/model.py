@@ -153,32 +153,22 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> Mode
     return init.params
 
 
-def _bn_relu(h: Tensor, params, name: str, training: bool) -> Tensor:
-    return relu(batch_norm(h, *batch_norm_tensors(params, name), training))
+def conv_bn_relu(x: Tensor, params, conv: str, bn: str, training: bool, op, **kw) -> Tensor:
+    """relu(batch_norm(op(x))), the unit of every normalised conv. Callers pass
+    `op` (conv1d or conv_transpose1d) by name, so that it is looked up at call
+    time, like batch_norm and relu, and a wrapper put on this module sees it."""
+    h = op(x, *conv_tensors(params, conv), **kw)
+    return relu(batch_norm(h, *batch_norm_tensors(params, bn), training))
 
 
 def rescon(x: Tensor, params, prefix: str, training: bool) -> Tensor:
     """Residual conv block; net channel change is cout/cin."""
     mid = params[f"{prefix}.pw1.weight"].shape[0]
-    h = conv1d(x, *conv_tensors(params, f"{prefix}.pw1"))
-    h = _bn_relu(h, params, f"{prefix}.bn1", training)
-    h = conv1d(h, *conv_tensors(params, f"{prefix}.dw"),
-               padding=(RESCON_KERNEL - 1) // 2, groups=mid)
-    h = _bn_relu(h, params, f"{prefix}.bn2", training)
+    h = conv_bn_relu(x, params, f"{prefix}.pw1", f"{prefix}.bn1", training, conv1d)
+    h = conv_bn_relu(h, params, f"{prefix}.dw", f"{prefix}.bn2", training, conv1d,
+                     padding=(RESCON_KERNEL - 1) // 2, groups=mid)
     h = conv1d(h, *conv_tensors(params, f"{prefix}.pw2"))
     return add(h, conv1d(x, *conv_tensors(params, f"{prefix}.res")))
-
-
-def down_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool) -> Tensor:
-    h = conv1d(x, *conv_tensors(params, f"{prefix}.conv"),
-               stride=config.stride, padding=config.down_padding)
-    return _bn_relu(h, params, f"{prefix}.bn", training)
-
-
-def up_conv(x: Tensor, params, prefix: str, config: ModelConfig, training: bool) -> Tensor:
-    h = conv_transpose1d(x, *conv_tensors(params, f"{prefix}.conv"),
-                         stride=config.stride, padding=config.down_padding)
-    return _bn_relu(h, params, f"{prefix}.bn", training)
 
 
 def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
@@ -196,14 +186,15 @@ def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
 
     block = config.stride ** config.depth
     x = pad_end(noisy, (-t_raw) % block)
+    resample = dict(stride=config.stride, padding=config.down_padding)
 
-    x0 = _bn_relu(conv1d(x, *conv_tensors(params, "first.conv")),
-                  params, "first.bn", training)  # B x N x Tp
+    x0 = conv_bn_relu(x, params, "first.conv", "first.bn", training, conv1d)  # B x N x Tp
 
     h = x0
     skips: list[Tensor] = []
     for layer in range(1, config.depth + 1):
-        h = down_conv(h, params, f"enc{layer}.down", config, training)
+        h = conv_bn_relu(h, params, f"enc{layer}.down.conv", f"enc{layer}.down.bn",
+                         training, conv1d, **resample)
         h = rescon(h, params, f"enc{layer}.rescon", training)
         if config.has_attention(layer):
             h = ma_block(h, params, f"enc{layer}.ma", config.chunk_size)
@@ -216,7 +207,8 @@ def manner_forward(noisy: Tensor, params: ModelParams, config: ModelConfig,
         h = rescon(h, params, f"dec{layer}.rescon", training)
         if config.has_attention(layer):
             h = ma_block(h, params, f"dec{layer}.ma", config.chunk_size)
-        h = up_conv(h, params, f"dec{layer}.up", config, training)
+        h = conv_bn_relu(h, params, f"dec{layer}.up.conv", f"dec{layer}.up.bn",
+                         training, conv_transpose1d, **resample)
 
     masked = mul(gated_unit(h, params, "mask.a", "mask.b"), x0)
     y = conv1d(masked, *conv_tensors(params, "out"))

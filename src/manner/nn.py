@@ -278,9 +278,7 @@ def conv_transpose1d(
     # the input-adjoint of a conv1d with weight w2: forward and backward swap roles
     w2 = weight.data.reshape(cin, cout * kw)
     full = _correlate_adjoint(x.data, w2, kw, stride, tfull)
-    out = full[..., padding : padding + tout]
-    if padding:
-        out = np.ascontiguousarray(out)
+    out = np.ascontiguousarray(full[..., padding : padding + tout])
     out += bias.data[None, :, None]
     xd = x.data
 

@@ -133,9 +133,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis, keepdims)
 
@@ -158,23 +155,17 @@ class Node:
 
     `parents[i]` is the node that produced input i, the leaf parameter
     itself, or None for a constant; backward() reads both the leaves and
-    which inputs need a gradient off this tuple. The output is held
-    weakly, so an intermediate lives only while a caller or a backward
+    which inputs need a gradient off this tuple. The node holds no
+    tensor, so an intermediate lives only while a caller or a backward
     closure reads it; `backward_fn` holds exactly what the op's backward
     formula reads, and backward() drops it once it has run.
     """
 
-    __slots__ = ("parents", "backward_fn", "_output", "__weakref__")
+    __slots__ = ("parents", "backward_fn", "__weakref__")
 
-    def __init__(self, parents, output: Tensor, backward_fn):
+    def __init__(self, parents, backward_fn):
         self.parents = parents
         self.backward_fn = backward_fn
-        self._output = weakref.ref(output)
-
-    @property
-    def output(self) -> Tensor | None:
-        """The tensor this node produced, while something else keeps it alive."""
-        return self._output()
 
 
 class Tape:
@@ -224,7 +215,7 @@ def apply_op(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
     if requires and _TAPE_STACK:
-        node = Node(tuple(_parent(t) for t in inputs), out, backward_fn)
+        node = Node(tuple(_parent(t) for t in inputs), backward_fn)
         out._node = weakref.ref(node)
         _TAPE_STACK[-1]._nodes.append(node)
     return out
@@ -345,10 +336,6 @@ def div(a: Tensor, b) -> Tensor:
     return _broadcast_op(a.data / bd, a, b, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
 
-def neg(a: Tensor) -> Tensor:
-    return apply_op(-a.data, (a,), lambda g, needs: (-g,))
-
-
 def tabs(a: Tensor) -> Tensor:
     """|a|, subgradient 0 at 0."""
     sign = np.sign(a.data)
@@ -396,18 +383,6 @@ def sigmoid(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return apply_op(out, (a,), lambda g, needs: (g * (1.0 - out * out),))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def bwd(g, needs):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return apply_op(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------
@@ -523,30 +498,6 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
         return (full,)
 
     return apply_op(out, (a,), bwd)
-
-
-# ---------------------------------------------------------------------
-# matmul
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over the last two axes; leading dims must match."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul needs ndim >= 2")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"matmul batch dims differ: {a.shape} vs {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    out = np.matmul(a.data, b.data)
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def bwd(g, needs):
-        ga = np.matmul(g, bd.swapaxes(-1, -2)) if needs[0] else None
-        gb = np.matmul(ad.swapaxes(-1, -2), g) if needs[1] else None
-        return (ga, gb)
-
-    return apply_op(out, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------

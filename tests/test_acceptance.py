@@ -33,14 +33,14 @@ from manner.metrics import si_snr
 from manner.model import (
     ModelConfig,
     build_model,
-    down_conv,
+    conv_bn_relu,
     init_rescon,
     manner_forward,
     num_params,
     rescon,
 )
-from manner.nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
-from manner.tensor import Tensor, finite_diff_check, meter, mul, relu, tsum
+from manner.nn import ParamInit, batch_norm, conv1d, conv_tensors, conv_transpose1d
+from manner.tensor import Tensor, finite_diff_check, meter, mul, tsum
 from manner.trainer import TrainSettings, train
 
 SMALL_RES = (StftConfig(64, 16, 32), StftConfig(128, 32, 64))
@@ -233,12 +233,12 @@ def test_default_config_shapes():
     rng = np.random.default_rng(0)
     x = Tensor(0.1 * rng.standard_normal((1, 1, 64000)).astype(np.float32))
 
-    x0 = relu(batch_norm(conv1d(x, *conv_tensors(params, "first.conv")),
-                         *batch_norm_tensors(params, "first.bn"), False))
+    x0 = conv_bn_relu(x, params, "first.conv", "first.bn", False, conv1d)
     assert x0.shape == (1, 60, 64000)
     h = x0
     for layer, (ch, t) in enumerate(((120, 16000), (240, 4000), (480, 1000), (960, 250)), 1):
-        h = down_conv(h, params, f"enc{layer}.down", cfg, training=False)
+        h = conv_bn_relu(h, params, f"enc{layer}.down.conv", f"enc{layer}.down.bn", False,
+                         conv1d, stride=cfg.stride, padding=cfg.down_padding)
         assert h.shape[-1] == t
         h = rescon(h, params, f"enc{layer}.rescon", False)
         h = ma_block(h, params, f"enc{layer}.ma", cfg.chunk_size)

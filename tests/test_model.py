@@ -8,26 +8,28 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import manner.attention
+import manner.model
 from manner.attention import gated_unit
 from manner.checkpoint import save_checkpoint
 from manner.loss import weighted_total_loss
 from manner.model import (
     ModelConfig,
     build_model,
-    down_conv,
+    conv_bn_relu,
     init_rescon,
     manner_forward,
     num_params,
     rescon,
     trainable,
-    up_conv,
 )
-from manner.nn import ParamInit, conv_out_length
+from manner.nn import ParamInit, conv1d, conv_out_length, conv_transpose1d
 from manner.tensor import Tape, Tensor, finite_diff_check, reshape, tsum
 
 # ---------------------------------------------------------------------
@@ -253,9 +255,11 @@ def test_up_conv_inverts_down_conv_shape():
     init.conv_transpose("up.conv", 6, 6, 8)
     init.batch_norm("up.bn", 6)
     x = Tensor(rng.standard_normal((1, 6, 64)))
-    h = down_conv(x, init.params, "down", cfg, training=False)
+    resample = dict(stride=cfg.stride, padding=cfg.down_padding)
+    h = conv_bn_relu(x, init.params, "down.conv", "down.bn", False, conv1d, **resample)
     assert h.shape == (1, 6, 16)
-    assert up_conv(h, init.params, "up", cfg, training=False).shape == (1, 6, 64)
+    up = conv_bn_relu(h, init.params, "up.conv", "up.bn", False, conv_transpose1d, **resample)
+    assert up.shape == (1, 6, 64)
 
 
 def test_mask_gate_range_and_zero_case():
@@ -340,6 +344,37 @@ def test_taped_training_forward_holds_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     assert peak < 450 * 2**20, f"{peak / 2**20:.0f} MiB"
+
+
+@pytest.mark.parametrize("variant, convs", [("full", 109), ("small", 61)])
+def test_every_conv_and_batch_norm_runs_through_the_names_perfbench_wraps(monkeypatch, variant, convs):
+    """perfbench's tracer sees an op only if the model reaches it through
+    the module attribute it replaces (perfbench/worker.py). A call that
+    bypasses the attribute, as an `op=conv1d` default bound at import
+    would, runs untraced."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((manner.model, "conv1d"), (manner.model, "conv_transpose1d"),
+                         (manner.model, "batch_norm"), (manner.attention, "conv1d")):
+        count(module, name)
+    params = build_model(ModelConfig(variant=variant), seed=0)
+    x = Tensor(0.1 * np.random.default_rng(6).standard_normal((1, 1, 1024)).astype(np.float32))
+    with Tape():
+        manner_forward(x, params, params.config, training=True)
+
+    weights = [name for name, t in params.items() if name.endswith(".weight") and t.ndim == 3]
+    assert calls["conv1d"] + calls["conv_transpose1d"] == len(weights) == convs
+    assert calls["batch_norm"] == sum(name.endswith(".gamma") for name in params) == 25
+    assert calls["conv_transpose1d"] == sum(name.endswith(".up.conv.weight") for name in params) == 4
 
 
 # ---------------------------------------------------------------------
