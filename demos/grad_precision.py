@@ -29,6 +29,11 @@ The statistic is the median over seeds of change/parent per-seed medians.
 The threshold is the 95th percentile of the same statistic over every
 split of the parent's own trials into two halves, i.e. how far reshuffled
 rounding alone moves it. The gate exits 1 when the statistic exceeds it.
+
+With trials, the error is also reported per parameter group (the first
+field of a parameter's name: first, enc1..enc4, bottleneck, dec4..dec1,
+mask, out), and the gate prints each group's statistic against its own
+split threshold, so that a failure names the layer that moved.
 """
 
 import argparse
@@ -78,19 +83,37 @@ def nudge(x32, rng):
     return np.nextafter(x32, towards)
 
 
+def group_spans(params):
+    """{group: [(start, stop), ...]}: where each parameter group's gradients
+    sit in the concatenated vector; the group is a name's first field."""
+    spans, start = {}, 0
+    for name, t in trainable(params).items():
+        spans.setdefault(name.split(".")[0], []).append((start, start + t.size))
+        start += t.size
+    return spans
+
+
+def span_norm(v, parts):
+    return np.sqrt(sum(np.dot(v[a:b], v[a:b]) for a, b in parts))
+
+
 def trial_errors(seed, p32, p64, trials):
-    """Relative errors of trials 0..trials on one input seed."""
+    """Relative errors of trials 0..trials on one input seed: the whole
+    model's, and {group: errors} per parameter group."""
     noisy, clean = batch(seed)
     g64 = gradients(p64, noisy, clean, np.float64)
-    errors = []
+    spans = group_spans(p32)
+    errors, groups = [], {name: [] for name in spans}
     for trial in range(trials + 1):
         n32, c32 = noisy.astype(np.float32), clean.astype(np.float32)
         if trial:
             rng = np.random.default_rng([trial, seed])
             n32, c32 = nudge(n32, rng), nudge(c32, rng)
-        g32 = gradients(p32, n32, c32, np.float32)
-        errors.append(float(np.linalg.norm(g32 - g64) / np.linalg.norm(g64)))
-    return errors
+        diff = gradients(p32, n32, c32, np.float32) - g64
+        errors.append(float(np.linalg.norm(diff) / np.linalg.norm(g64)))
+        for name, parts in spans.items():
+            groups[name].append(float(span_norm(diff, parts) / span_norm(g64, parts)))
+    return errors, groups
 
 
 def paired_statistic(change, parent):
@@ -121,9 +144,12 @@ def main(argv=None):
     parser.add_argument("--gate", help="JSON a parent tree saved with at least 2N+2 trials")
     args = parser.parse_args(argv)
     p32, p64 = (build_model(ModelConfig(), seed=0, dtype=dt) for dt in (np.float32, np.float64))
-    rows = []
+    rows, groups = [], {}
     for seed in range(args.seeds):
-        rows.append(trial_errors(seed, p32, p64, args.ulp_trials))
+        errors, per_group = trial_errors(seed, p32, p64, args.ulp_trials)
+        rows.append(errors)
+        for name, values in per_group.items():
+            groups.setdefault(name, []).append(values)
         line = f"seed {seed:3d}: {100 * rows[-1][0]:.4f}%"
         if args.ulp_trials:
             trials = " ".join(f"{100 * e:.4f}" for e in rows[-1][1:])
@@ -134,16 +160,26 @@ def main(argv=None):
     if args.ulp_trials:
         print(f"median over {args.seeds} seeds of {args.ulp_trials + 1}-trial medians: "
               f"{100 * float(np.median(np.median(rows, axis=1))):.4f}%")
+        for name, values in groups.items():
+            print(f"  group {name}: {100 * float(np.median(np.median(values, axis=1))):.4f}%")
     if args.save:
         with open(args.save, "w") as f:
-            json.dump({"seeds": args.seeds, "errors": rows.tolist()}, f)
+            json.dump({"seeds": args.seeds, "errors": rows.tolist(), "groups": groups}, f)
     if args.gate:
         with open(args.gate) as f:
-            parent = np.array(json.load(f)["errors"])
+            saved = json.load(f)
+        parent = np.array(saved["errors"])
         if parent.shape[0] != args.seeds or parent.shape[1] < 2 * (args.ulp_trials + 1):
             raise SystemExit(f"{args.gate} needs {args.seeds} seeds and >= {2 * (args.ulp_trials + 1)} trials")
-        threshold = split_threshold(parent[:, : 2 * (args.ulp_trials + 1)])
-        stat = paired_statistic(rows, parent[:, : args.ulp_trials + 1])
+        half, full = args.ulp_trials + 1, 2 * (args.ulp_trials + 1)
+        for name, values in saved.get("groups", {}).items():
+            base = np.array(values)
+            group_stat = paired_statistic(groups[name], base[:, :half])
+            group_threshold = split_threshold(base[:, :full])
+            flag = "  <- over" if group_stat > group_threshold else ""
+            print(f"gate group {name}: change/parent {group_stat:.4f}, threshold {group_threshold:.4f}{flag}")
+        threshold = split_threshold(parent[:, :full])
+        stat = paired_statistic(rows, parent[:, :half])
         verdict = "pass" if stat <= threshold else "FAIL"
         print(f"gate: change/parent {stat:.4f}, threshold {threshold:.4f} (parent split): {verdict}")
         return 0 if stat <= threshold else 1

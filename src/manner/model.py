@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import gated_unit, init_ma_block, ma_block
 from .nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
-from .tensor import Tensor, add, mul, narrow, pad_end, relu
+from .tensor import Tensor, add, mul, narrow, pad_end
 
 # ResCon internals fixed across the model family.
 RESCON_GROWTH = 2
@@ -154,11 +154,12 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> Mode
 
 
 def conv_bn_relu(x: Tensor, params, conv: str, bn: str, training: bool, op, **kw) -> Tensor:
-    """relu(batch_norm(op(x))), the unit of every normalised conv. Callers pass
-    `op` (conv1d or conv_transpose1d) by name, so that it is looked up at call
-    time, like batch_norm and relu, and a wrapper put on this module sees it."""
+    """relu(batch_norm(op(x))), the unit of every normalised conv, with the
+    ReLU taken by batch_norm's one tape op. Callers pass `op` (conv1d or
+    conv_transpose1d) by name, so that it is looked up at call time, like
+    batch_norm, and a wrapper put on this module sees it."""
     h = op(x, *conv_tensors(params, conv), **kw)
-    return relu(batch_norm(h, *batch_norm_tensors(params, bn), training))
+    return batch_norm(h, *batch_norm_tensors(params, bn), training, relu=True)
 
 
 def rescon(x: Tensor, params, prefix: str, training: bool) -> Tensor:

@@ -30,7 +30,7 @@ from manner.model import (
     trainable,
 )
 from manner.nn import ParamInit, conv1d, conv_out_length, conv_transpose1d
-from manner.tensor import Tape, Tensor, finite_diff_check, reshape, tsum
+from manner.tensor import Tape, Tensor, backward, finite_diff_check, reshape, tsum
 
 # ---------------------------------------------------------------------
 # parameter-count oracle
@@ -400,6 +400,22 @@ def test_model_gradcheck():
     err = finite_diff_check(f, tensors, max_checks_per_input=2,
                             rng=np.random.default_rng(0))
     assert err < 1e-6
+
+
+def test_every_gradient_is_c_contiguous_in_its_parameter_shape():
+    """Adam walks each gradient beside its parameter and moments; a
+    transposed view (a conv weight gradient written as gw.T) makes it read
+    most of the model against memory order."""
+    params = build_model(ModelConfig(), seed=0)
+    rng = np.random.default_rng(5)
+    x, y = (0.1 * rng.standard_normal((2, 2, 16000))).astype(np.float32)
+    with Tape() as tape:
+        est = manner_forward(Tensor(x[:, None, :]), params, params.config, training=True)
+        loss, _ = weighted_total_loss(Tensor(x), Tensor(y), reshape(est, x.shape))
+    backward(tape, loss)
+    bad = [name for name, t in trainable(params).items()
+           if t.grad.shape != t.shape or not t.grad.flags.c_contiguous]
+    assert not bad, f"{len(bad)} of {len(trainable(params))}: {bad[:5]}"
 
 
 # ---------------------------------------------------------------------

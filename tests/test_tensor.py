@@ -505,6 +505,61 @@ def test_batch_norm_matches_plain_numpy():
     np.testing.assert_allclose(out.data, want, rtol=1e-10)
 
 
+def bn_case(seed, dtype):
+    """An off-zero [2, 5, 40] input and (gamma, beta, running_mean, running_var)
+    with random values, so no factor of the formulas is 1 or 0."""
+    rng = np.random.default_rng(seed)
+    x = 2.0 + 1.5 * rng.standard_normal((2, 5, 40))
+    stats = fresh_bn(5, dtype)
+    for t, value in zip(stats, (rng.uniform(0.5, 1.5, 5), rng.uniform(-0.5, 0.5, 5),
+                                rng.uniform(1.5, 2.5, 5), rng.uniform(1.0, 3.0, 5))):
+        t.data[...] = value
+    return Tensor(x, dtype=dtype), stats
+
+
+@pytest.mark.parametrize("relu_flag", [False, True], ids=["plain", "relu"])
+def test_batch_norm_running_stats_follow_x_mean_and_x_var(relu_flag):
+    """The statistics the op normalizes with are those of x.mean and x.var,
+    so the running buffers get the update they got before the op took the
+    ReLU, bit for bit."""
+    x, (gamma, beta, running_mean, running_var) = bn_case(30, np.float32)
+    mom = 0.1
+    want_mean = (1.0 - mom) * running_mean.data + mom * x.data.mean(axis=(0, 2))
+    want_var = (1.0 - mom) * running_var.data + mom * x.data.var(axis=(0, 2))
+    batch_norm(x, gamma, beta, running_mean, running_var, training=True, relu=relu_flag)
+    np.testing.assert_array_equal(running_mean.data, want_mean)
+    np.testing.assert_array_equal(running_var.data, want_var)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batch_norm_relu_is_relu_of_batch_norm_in_one_node(training):
+    x, stats = bn_case(31, np.float32)
+    gamma, beta = (Tensor(t.data, requires_grad=True) for t in stats[:2])
+    copies = [Tensor(t.data.copy()) for t in stats[2:]]
+    want = relu(batch_norm(x, gamma, beta, *copies, training=training))
+    with Tape() as tape:
+        got = batch_norm(x, gamma, beta, *stats[2:], training=training, relu=True)
+    assert len(tape) == 1
+    assert got.data.min() == 0.0 < got.data.max()
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_finite_diff_batch_norm_relu(training):
+    """float64, random upstream: the one backward of the fused op masks,
+    normalizes and scales as the chain of batch_norm and relu did."""
+    x, (gamma, beta, running_mean, running_var) = bn_case(32, np.float64)
+    x.requires_grad = gamma.requires_grad = beta.requires_grad = True
+    r = Tensor(np.random.default_rng(33).standard_normal(x.shape))
+
+    def f(xi, gi, bi):
+        # fresh copies keep the running buffers fixed across the probes
+        stats = (Tensor(running_mean.data.copy()), Tensor(running_var.data.copy()))
+        return tsum(mul(batch_norm(xi, gi, bi, *stats, training=training, relu=True), r))
+
+    assert finite_diff_check(f, [x, gamma, beta]) < 1e-6
+
+
 # ---------------------------------------------------------------------
 # activations, pooling
 
@@ -656,11 +711,11 @@ def test_step_graph_is_freed_without_the_cyclic_gc():
             gc.enable()
 
 
-def _bn(h):
+def _bn(h, **kw):
     ones, zeros = np.ones(h.shape[1]), np.zeros(h.shape[1])
     stats = (Tensor(ones, requires_grad=True), Tensor(zeros, requires_grad=True),
              Tensor(zeros.copy()), Tensor(ones.copy()))
-    return batch_norm(h, *stats, training=True)
+    return batch_norm(h, *stats, training=True, **kw)
 
 
 FREEING_OPS = {
@@ -672,6 +727,7 @@ FREEING_OPS = {
     "maximum_constant": lambda h: maximum(h, 0.5),
     "narrow": lambda h: narrow(h, 1, 5),
     "batch_norm_training": _bn,
+    "batch_norm_relu_training": lambda h: _bn(h, relu=True),
     "stft_magnitude": lambda h: stft_magnitude(h, StftConfig(8, 2, 4)),
     "chunk_merge": lambda h: merge(chunk(h, 4), h.shape[-1]),
 }
