@@ -14,13 +14,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .tensor import (  # noqa: E402
-    Tape,
-    Tensor,
-    backward,
-    finite_diff_check,
-    meter,
-)
+from .tensor import Tape, Tensor, backward, finite_diff_check  # noqa: E402
 from .nn import batch_norm, conv1d, conv_transpose1d, linear  # noqa: E402
 from .chunker import chunk, merge  # noqa: E402
 from .model import ModelConfig, build_model, manner_forward, num_params  # noqa: E402
@@ -53,7 +47,6 @@ __all__ = [
     "load_checkpoint",
     "manner_forward",
     "merge",
-    "meter",
     "multires_stft_loss",
     "num_params",
     "onecycle_lr",

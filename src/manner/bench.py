@@ -1,10 +1,11 @@
-"""Forward-pass efficiency measurements: wall-clock and peak tensor memory."""
+"""Forward-pass efficiency measurements: wall-clock and peak allocated memory."""
 
 from __future__ import annotations
 
 import csv
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .audio import TARGET_RATE
 from .model import ModelParams, manner_forward
-from .tensor import Tensor, meter
+from .tensor import Tensor
 
 
 @dataclass
@@ -35,16 +36,35 @@ class BenchReport:
                 writer.writerow([row.length_s, f"{row.median_ms:.3f}", row.peak_bytes])
 
 
+def forward_peak_bytes(params: ModelParams, x: Tensor) -> int:
+    """The parameter map's bytes plus the tracemalloc peak of one eval
+    forward of `x` above what was live before it; numpy reports every buffer
+    to tracemalloc. Tracing stops again unless the caller was tracing."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        manner_forward(x, params, params.config, training=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return sum(t.data.nbytes for t in params.values()) + peak
+
+
 def run_bench(
     params: ModelParams,
     lengths_s: list[int],
     runs: int = 5,
     seed: int = 0,
 ) -> BenchReport:
-    """Median forward time and allocator high-water mark per input length.
+    """Median forward time and peak memory per input length.
 
-    One untimed warmup precedes the measured runs. Measurement itself is
-    sequential; cap BLAS threads with MANNER_THREADS for stable numbers.
+    One untimed warmup, the only traced forward, precedes the measured runs.
+    Measurement is sequential; cap BLAS threads with MANNER_THREADS for
+    stable numbers.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -55,16 +75,12 @@ def run_bench(
     for s in lengths_s:
         t = s * TARGET_RATE
         x = Tensor(0.1 * rng.standard_normal(t).astype(np.float32)[None, None, :])
-        out = manner_forward(x, params, params.config, training=False)  # warmup
-        del out
+        peak = forward_peak_bytes(params, x)  # the warmup
         times = []
-        peak = 0
         for _ in range(runs):
-            meter.reset_peak()
             t0 = time.perf_counter()
             out = manner_forward(x, params, params.config, training=False)
             times.append((time.perf_counter() - t0) * 1000.0)
-            peak = max(peak, meter.peak)
             del out
         rows.append(BenchRow(length_s=s, median_ms=statistics.median(times), peak_bytes=peak))
     return BenchReport(variant=params.config.variant, rows=rows)

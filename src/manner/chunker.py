@@ -26,12 +26,9 @@ def chunk(x: Tensor, chunk_size: int) -> Tensor:
     t = x.shape[-1]
     if t < 1:
         raise ValueError("cannot chunk an empty time axis")
-    win = pad_windows(x.data, chunk_size, hop)  # [..., C, P]
-    if win.shape[-1] == 1:  # one chunk keeps a gather's time-major layout, and with it
-        # the float32 rounding of its per-row gemv calls (see the README)
-        out = np.moveaxis(np.ascontiguousarray(np.moveaxis(win[..., 0], -1, 0)), 0, -1)[..., None, :]
-    else:  # contiguous, so that matmuls over the chunks take the BLAS path
-        out = np.ascontiguousarray(win.swapaxes(-1, -2))
+    # [..., C, P] windows, made contiguous so that matmuls over the chunks
+    # take the BLAS path
+    out = np.ascontiguousarray(pad_windows(x.data, chunk_size, hop).swapaxes(-1, -2))
 
     def bwd(g, needs):
         return (overlap_add(g.swapaxes(-1, -2), hop, t),)

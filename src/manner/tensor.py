@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,30 +23,10 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 GRAD_TINY = 1e-12
 
 
-class AllocationMeter:
-    """High-water mark of live tensor payload bytes.
-
-    Only base allocations are counted (views share their parent's buffer).
-    `peak` is the largest simultaneous total seen since the last reset.
-    """
-
-    def __init__(self) -> None:
-        self.live = 0
-        self.peak = 0
-
-    def add(self, nbytes: int) -> None:
-        self.live += nbytes
-        if self.live > self.peak:
-            self.peak = self.live
-
-    def release(self, nbytes: int) -> None:
-        self.live -= nbytes
-
-    def reset_peak(self) -> None:
-        self.peak = self.live
-
-
-meter = AllocationMeter()
+# A stand-in for perfbench/worker.py, which resets and reads `meter.peak` in
+# traced jobs; memory figures come from tracemalloc (manner.bench). The
+# benchmark change that retires the tensor.meter_* metrics removes it.
+meter = SimpleNamespace(peak=0, reset_peak=lambda: None)
 
 
 class Tensor:
@@ -56,10 +37,9 @@ class Tensor:
     by the optimizer or a checkpoint load.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "_counted", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self._counted = 0
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
@@ -67,14 +47,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: weakref.ref | None = None
-        if arr.base is None:
-            self._counted = arr.nbytes
-            meter.add(self._counted)
-
-    def __del__(self):
-        counted = getattr(self, "_counted", 0)
-        if counted:
-            meter.release(counted)
 
     # -- introspection -------------------------------------------------
 

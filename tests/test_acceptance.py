@@ -24,7 +24,7 @@ from manner.attention import (
     ma_block,
 )
 from manner.audio import TARGET_RATE, AudioClip, CorpusPair
-from manner.bench import BenchRow
+from manner.bench import BenchRow, forward_peak_bytes
 from manner.checkpoint import load_checkpoint
 from manner.chunker import chunk, merge
 from manner.config import parse_run_config
@@ -40,7 +40,7 @@ from manner.model import (
     rescon,
 )
 from manner.nn import ParamInit, batch_norm, conv1d, conv_tensors, conv_transpose1d
-from manner.tensor import Tensor, finite_diff_check, meter, mul, tsum
+from manner.tensor import Tensor, finite_diff_check, mul, tsum
 from manner.trainer import TrainSettings, train
 
 SMALL_RES = (StftConfig(64, 16, 32), StftConfig(128, 32, 64))
@@ -343,14 +343,12 @@ def test_variant_time_and_memory():
         would also count the time another process holds the CPU."""
         x = 0.1 * np.random.default_rng(0).standard_normal(s * TARGET_RATE).astype(np.float32)
         x = Tensor(x[None, None, :])
-        manner_forward(x, params, params.config)
-        times, peak = [], 0
+        peak = forward_peak_bytes(params, x)
+        times = []
         for _ in range(3):
-            meter.reset_peak()
             t0 = time.process_time()
             out = manner_forward(x, params, params.config)
             times.append((time.process_time() - t0) * 1000.0)
-            peak = max(peak, meter.peak)
             del out
         return BenchRow(length_s=s, median_ms=float(np.median(times)), peak_bytes=peak)
 

@@ -5,13 +5,15 @@ each subcommand leaves behind. A toy model keeps every run under a second.
 """
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from manner.audio import AudioClip, read_wav, write_wav
+from manner.audio import TARGET_RATE, AudioClip, read_wav, write_wav
+from manner.bench import run_bench
 from manner.checkpoint import save_checkpoint
 from manner import cli
 from manner.cli import main
@@ -19,7 +21,8 @@ from manner.config import RunConfig, parse_run_config
 from manner.errors import ConfigError
 from manner.loss import default_resolutions
 from manner.metrics import si_snr
-from manner.model import ModelConfig, build_model
+from manner.model import ModelConfig, build_model, manner_forward
+from manner.tensor import Tensor
 from manner.trainer import TrainSettings
 
 TOY_MODEL = "[model]\nbase_channels = 6\ndepth = 2\nchunk_size = 8\n"
@@ -503,11 +506,32 @@ def test_bench_both_reports_each_variant_alone(tmp_path, capsys):
         assert main(["bench", "--config", str(cfg), "--variant", variant, "--lengths", "1",
                      "--runs", "1", "--out", str(out)]) == 0
         capsys.readouterr()
-        return {v: (out / f"bench_{v}.csv").read_text().splitlines()[1].split(",")[2]
+        return {v: int((out / f"bench_{v}.csv").read_text().splitlines()[1].split(",")[2])
                 for v in ("full", "small") if (out / f"bench_{v}.csv").is_file()}
 
-    both = peaks("both")
-    assert both == {**peaks("full"), **peaks("small")}
+    # tracemalloc peaks of repeated forwards differ by a few KB; a variant
+    # that also counted the other's weights would add their 64-69 KB
+    both, alone = peaks("both"), {**peaks("full"), **peaks("small")}
+    assert both.keys() == alone.keys()
+    for variant in both:
+        assert abs(both[variant] - alone[variant]) <= 16 * 1024, variant
+
+
+def test_bench_peak_agrees_with_a_traced_forward():
+    """The MiB column is the parameter bytes plus what one forward
+    allocates: within 10% of a directly traced forward's tracemalloc peak."""
+    params = build_model(ModelConfig(variant="small").validate(), seed=0)
+    row = run_bench(params, [1], runs=1, seed=0).rows[0]
+    x = 0.1 * np.random.default_rng(0).standard_normal(TARGET_RATE).astype(np.float32)
+    x = Tensor(x[None, None, :])
+    tracemalloc.start()
+    try:
+        manner_forward(x, params, params.config)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    forward = row.peak_bytes - sum(t.data.nbytes for t in params.values())
+    assert abs(forward - traced) <= 0.1 * traced, (forward, traced)
 
 
 def test_bench_from_checkpoint(tmp_path, capsys):

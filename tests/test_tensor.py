@@ -32,7 +32,6 @@ from manner.tensor import (
     div,
     finite_diff_check,
     maximum,
-    meter,
     mul,
     narrow,
     pad_end,
@@ -953,25 +952,3 @@ def test_finite_diff_nonlinear_composite_uses_squares():
         return tsum(y * y)
 
     assert finite_diff_check(f, [x]) < 1e-6
-
-
-# ---------------------------------------------------------------------
-# allocation meter
-
-
-def test_allocation_meter_tracks_live_and_peak():
-    meter.reset_peak()
-    start = meter.live
-    t = Tensor(np.zeros(1024, dtype=np.float32))
-    assert meter.live == start + 4096
-    assert meter.peak >= start + 4096
-    del t
-    assert meter.live == start
-
-
-def test_allocation_meter_ignores_views():
-    base = Tensor(np.zeros(64, dtype=np.float32))
-    live = meter.live
-    view = Tensor(base.data[:32])
-    assert meter.live == live
-    del view, base
