@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import gated_unit, init_ma_block, ma_block
-from .nn import ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
-from .tensor import Tensor, add, mul, narrow, pad_end
+from .nn import BATCH_NORM_EPS, ParamInit, batch_norm, batch_norm_tensors, conv1d, conv_tensors, conv_transpose1d
+from .tensor import Tensor, add, div, mul, narrow, pad_end, relu, reshape, sub, tsqrt
 
 # ResCon internals fixed across the model family.
 RESCON_GROWTH = 2
@@ -154,12 +154,25 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> Mode
 
 
 def conv_bn_relu(x: Tensor, params, conv: str, bn: str, training: bool, op, **kw) -> Tensor:
-    """relu(batch_norm(op(x))), the unit of every normalised conv, with the
-    ReLU taken by batch_norm's one tape op. Callers pass `op` (conv1d or
-    conv_transpose1d) by name, so that it is looked up at call time, like
-    batch_norm, and a wrapper put on this module sees it."""
-    h = op(x, *conv_tensors(params, conv), **kw)
-    return batch_norm(h, *batch_norm_tensors(params, bn), training, relu=True)
+    """relu(batch_norm(op(x))), the unit of every normalised conv. Callers
+    pass `op` (conv1d or conv_transpose1d) by name, so that it is looked up
+    at call time, like batch_norm, and a wrapper put on this module sees it.
+
+    Training takes the ReLU in batch_norm's one tape op. Eval folds the
+    running stats into the conv (Jacob et al., arXiv 1712.05877, §3.2):
+    scale = gamma / sqrt(running_var + eps) multiplies the weight's output
+    axis, and the bias becomes (b - running_mean) * scale + beta, built
+    from tape ops on the small parameters so that their gradients flow."""
+    weight, bias = conv_tensors(params, conv)
+    if training:
+        return batch_norm(op(x, weight, bias, **kw), *batch_norm_tensors(params, bn), training, relu=True)
+    gamma, beta, mean, var = batch_norm_tensors(params, bn)
+    scale = div(gamma, tsqrt(add(var, BATCH_NORM_EPS)))
+    axes = (1, -1, 1) if op is conv_transpose1d else (-1, 1, 1)  # Cout: axis 1 of [Cin, Cout, K]
+    h = op(x, mul(weight, reshape(scale, axes)), add(mul(sub(bias, mean), scale), beta), **kw)
+    # In place: h's buffer is the conv's fresh output, which no one else
+    # holds, and neither conv's backward reads its own output.
+    return relu(h, inplace=True)
 
 
 def rescon(x: Tensor, params, prefix: str, training: bool) -> Tensor:

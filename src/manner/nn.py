@@ -15,6 +15,9 @@ from .tensor import Tensor, apply_op
 BATCH_NORM_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 BATCH_NORM_MOMENTUM = 0.1  # weight of the batch statistics in a running-stat update
 BATCH_NORM_EPS = 1e-5
+# Largest block copy a depthwise product reads at once; wider inputs are
+# taken in channel groups, so the copy stays this size at any input length.
+DEPTHWISE_BLOCK_BYTES = 2 * 2**20
 
 
 class ParamInit:
@@ -148,12 +151,21 @@ def _correlate_weight_grad(xp: np.ndarray, g: np.ndarray, kernel: int, stride: i
     return gw
 
 
-def _blocks(x: np.ndarray, padding: int, kernel: int, count: int) -> np.ndarray:
-    """x [B, C, T] zero-padded by `padding` at the head, as nb blocks of L
-    outputs with their K-1 halo samples: a contiguous [C, B*nb, L+K-1] copy.
-    L = min(32, isqrt(B*count)), so a short input gets a small band."""
-    b, c, t = x.shape
+def _block_layout(x: np.ndarray, kernel: int, count: int) -> tuple[int, list[slice]]:
+    """(L, channel groups) of x's depthwise blocks: L = min(32, isqrt(B*count))
+    outputs per block, so a short input gets a small band, and slices of
+    x's channels whose _blocks copy fits DEPTHWISE_BLOCK_BYTES (at least one
+    channel each; one slice when the whole copy fits)."""
+    b, c, _ = x.shape
     length = min(32, math.isqrt(b * count))
+    step = max(1, DEPTHWISE_BLOCK_BYTES // (b * -(-count // length) * (length + kernel - 1) * x.itemsize))
+    return length, [slice(i, i + step) for i in range(0, c, step)]
+
+
+def _blocks(x: np.ndarray, padding: int, kernel: int, count: int, length: int) -> np.ndarray:
+    """x [B, C, T] zero-padded by `padding` at the head, as nb blocks of L =
+    `length` outputs with their K-1 halo samples: a contiguous [C, B*nb, L+K-1] copy."""
+    b, c, t = x.shape
     nb = -(-count // length)
     xp = np.zeros((b, c, nb * length + kernel - 1), x.dtype)
     xp[..., padding : padding + t] = x
@@ -165,27 +177,36 @@ def _depthwise(x: np.ndarray, taps: np.ndarray, padding: int, count: int) -> np.
     """Stride-1 per-channel correlation of x [B, C, T], zero-padded by
     `padding` at the head, with taps [C, K]: [B, C, count]. Each block of L
     outputs is one product with its channel's band [L+K-1, L], band[c, j+k, j]
-    = taps[c, k], copied from a negative-stride view of a zero-padded tap row."""
+    = taps[c, k], copied from a negative-stride view of a zero-padded tap row.
+    One channel group at a time is blocked, its product written straight
+    into its slice of the output."""
     b, (c, kw) = len(x), taps.shape
-    blk = _blocks(x, padding, kw, count)
-    width, length = blk.shape[2], blk.shape[2] - kw + 1
+    length, groups = _block_layout(x, kw, count)
+    width = length + kw - 1
     row = np.zeros((c, length + width - 1), taps.dtype)
     row[:, length - 1 : length - 1 + kw] = taps
     band = time_windows(row[:, length - 1 :], width, -1, length).copy()
-    out = np.empty((b, c, blk.shape[1] // b, length), np.result_type(blk, band))
-    np.matmul(blk.reshape(c, b, -1, width), band[:, None], out=out.transpose(1, 0, 2, 3))
+    out = np.empty((b, c, -(-count // length), length), np.result_type(x, band))
+    for cs in groups:
+        blk = _blocks(x[:, cs], padding, kw, count, length)
+        np.matmul(blk.reshape(len(blk), b, -1, width), band[cs, None], out=out[:, cs].transpose(1, 0, 2, 3))
     return out.reshape(b, c, -1)[..., :count]
 
 
 def _depthwise_weight_grad(x: np.ndarray, g: np.ndarray, padding: int, kernel: int) -> np.ndarray:
-    """Taps-adjoint of _depthwise, [C, K] from x and the output gradient g: one
-    per-channel [L, B*nb] @ [B*nb, L+K-1] product, then its K band diagonal sums."""
+    """Taps-adjoint of _depthwise, [C, K] from x and the output gradient g: per
+    channel group, one per-channel [L, B*nb] @ [B*nb, L+K-1] product, then
+    its K band diagonal sums."""
     c, count = g.shape[1:]
-    # g's blocks share x's L and are zero past count
-    prod = np.matmul(_blocks(g, 0, 1, count).swapaxes(1, 2), _blocks(x, padding, kernel, count))
-    length, width = prod.shape[1:]
-    # diagonal k of row j sits at flat offset j*(width+1) + k
-    return time_windows(prod.reshape(c, -1), kernel, width + 1, length).sum(axis=-1)
+    length, groups = _block_layout(x, kernel, count)
+    gw = np.empty((c, kernel), np.result_type(x, g))
+    for cs in groups:
+        # g's blocks share x's L and are zero past count
+        prod = np.matmul(_blocks(g[:, cs], 0, 1, count, length).swapaxes(1, 2),
+                         _blocks(x[:, cs], padding, kernel, count, length))
+        # in each [L, L+K-1] product, diagonal k of row j sits at flat offset j*(L+K) + k
+        gw[cs] = time_windows(prod.reshape(len(prod), -1), kernel, length + kernel, length).sum(axis=-1)
+    return gw
 
 
 def conv1d(

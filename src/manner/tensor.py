@@ -340,15 +340,21 @@ def maximum(a: Tensor, b) -> Tensor:
 # activations
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
+def relu(a: Tensor, inplace: bool = False) -> Tensor:
+    """max(a, 0). `inplace` overwrites a.data, for a caller that owns that
+    buffer: nothing else reads it, and a's own backward does not."""
+    out = np.maximum(a.data, 0.0, out=a.data if inplace else None)
     return apply_op(out, (a,), lambda g, needs: (g * (out > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Clip keeps exp() finite; the output is saturated there anyway.
-    z = np.clip(a.data, -60.0, 60.0)
-    out = 1.0 / (1.0 + np.exp(-z))
+    # Clip keeps exp() finite; the output is saturated there anyway. One
+    # buffer: the ufuncs of 1 / (1 + exp(-z)), in order, run in place.
+    out = np.clip(a.data, -60.0, 60.0)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return apply_op(out, (a,), lambda g, needs: (g * out * (1.0 - out),))
 
 

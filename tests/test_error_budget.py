@@ -1,6 +1,7 @@
 """Per-op float32 error budgets at the shapes of a full-model training step.
 
-Each row runs one op of a B=2 x 1 s full-model step in float32 and measures
+Each row runs one op of a B=2 x 1 s full-model step (or, for the eval-only
+batch-norm fold, of a B=1 x 1 s eval forward) in float32 and measures
 its relative L2 error against the same op in float64. The bar is at most
 twice the error of a reference formulation kept here: the formula the op
 used when its row was added. A change that reorders an op's float32 sums
@@ -9,10 +10,14 @@ one-pass E[x^2] - E[x]^2 variance, say) fails its row even where the
 whole-model gradient error of demos/grad_precision.py cannot see it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from manner.nn import BATCH_NORM_EPS, batch_norm, conv1d, conv_transpose1d, time_windows
+from manner.attention import attend
+from manner.model import conv_bn_relu
+from manner.nn import BATCH_NORM_EPS, BATCH_NORM_FIELDS, batch_norm, conv1d, conv_transpose1d, time_windows
 from manner.tensor import Tape, Tensor, backward, mul, tsum
 
 
@@ -172,3 +177,107 @@ def test_strided_conv_weight_grad_float32_error_at_most_twice_reference(shape, t
     if transposed:
         t //= 4  # the decoder conv reads the encoder conv's output length
     assert_within_budget(["grad-w"], *conv_row(b, c, c, t, 8, 4, 2, transposed))
+
+
+# ---------------------------------------------------------------------
+# eval-mode conv -> batch norm -> ReLU, folded
+
+
+def conv_output(x, w, b, transposed, stride, padding, groups):
+    xt, wt, bt = (Tensor(a) for a in (x, w, b))
+    if transposed:
+        return conv_transpose1d(xt, wt, bt, stride=stride, padding=padding).data
+    return conv1d(xt, wt, bt, stride=stride, padding=padding, groups=groups).data
+
+
+def conv_bn_relu_reference(x, w, b, bn, *conv):
+    """The output of conv then eval batch_norm(relu=True) as two ops: the
+    path conv_bn_relu took before it folded the running stats into the
+    conv, in x's dtype."""
+    h = conv_output(x, w, b, *conv)
+    return batch_norm_reference(h, *bn, False, True, np.zeros_like(h))[0]
+
+
+# (Cin, Cout, T in, K, stride, padding, groups, transposed) of the 25
+# normalised convs of a full-model eval forward at B=1 x 1 s: `first`, each
+# encoder's down conv and ResCon pw1/dw, each decoder's ResCon pw1/dw and up conv
+EVAL_FORWARD_CONV_BN = [
+    (1, 60, 16128, 1, 1, 0, 1, False), (60, 60, 16128, 8, 4, 2, 1, False),
+    (60, 120, 4032, 1, 1, 0, 1, False), (120, 120, 4032, 31, 1, 15, 120, False),
+    (120, 120, 4032, 8, 4, 2, 1, False), (120, 240, 1008, 1, 1, 0, 1, False),
+    (240, 240, 1008, 31, 1, 15, 240, False), (240, 240, 1008, 8, 4, 2, 1, False),
+    (240, 480, 252, 1, 1, 0, 1, False), (480, 480, 252, 31, 1, 15, 480, False),
+    (480, 480, 252, 8, 4, 2, 1, False), (480, 960, 63, 1, 1, 0, 1, False),
+    (960, 960, 63, 31, 1, 15, 960, False), (960, 1920, 63, 1, 1, 0, 1, False),
+    (1920, 1920, 63, 31, 1, 15, 1920, False), (480, 480, 63, 8, 4, 2, 1, True),
+    (480, 960, 252, 1, 1, 0, 1, False), (960, 960, 252, 31, 1, 15, 960, False),
+    (240, 240, 252, 8, 4, 2, 1, True), (240, 480, 1008, 1, 1, 0, 1, False),
+    (480, 480, 1008, 31, 1, 15, 480, False), (120, 120, 1008, 8, 4, 2, 1, True),
+    (120, 240, 4032, 1, 1, 0, 1, False), (240, 240, 4032, 31, 1, 15, 240, False),
+    (60, 60, 4032, 8, 4, 2, 1, True),
+]
+
+
+@pytest.mark.parametrize("row", EVAL_FORWARD_CONV_BN, ids=lambda r: "x".join(map(str, r[:7])) + "tT"[r[7]])
+def test_eval_conv_bn_relu_fold_float32_error_at_most_twice_unfolded(row):
+    """The running stats sit near the conv output's own, as after training."""
+    cin, cout, t, kernel, stride, padding, groups, transposed = row
+    rng = np.random.default_rng(cin * 3 + cout + t + kernel)
+    bound = 1.0 / np.sqrt(cin // groups * kernel)
+    w = rng.uniform(-bound, bound, (cin, cout, kernel) if transposed else (cout, cin // groups, kernel))
+    b, x = rng.uniform(-0.1, 0.1, cout), rng.standard_normal((1, cin, t))
+    conv = (transposed, stride, padding, groups)
+    h = conv_output(x, w, b, *conv)
+    bn = (rng.uniform(0.5, 1.5, cout), rng.uniform(-0.5, 0.5, cout),
+          h.mean(axis=(0, 2)) + 0.1 * rng.standard_normal(cout), h.var(axis=(0, 2)) * rng.uniform(0.5, 2.0, cout))
+    x32, w32, b32, *bn32 = (a.astype(np.float32) for a in (x, w, b) + bn)
+    params = {"c.weight": Tensor(w32), "c.bias": Tensor(b32)}
+    params.update((f"bn.{field}", Tensor(a)) for field, a in zip(BATCH_NORM_FIELDS, bn32))
+    op, kw = (conv_transpose1d, {}) if transposed else (conv1d, dict(groups=groups))
+    got = conv_bn_relu(Tensor(x32), params, "c", "bn", False, op, stride=stride, padding=padding, **kw)
+    ref = conv_bn_relu_reference(x32, w32, b32, bn32, *conv)
+    exact = conv_bn_relu_reference(x, w, b, bn, *conv)
+    assert_within_budget(["forward"], [got.data], [ref], [exact])
+
+
+# ---------------------------------------------------------------------
+# attend
+
+
+def attend_reference(q, k, v, g):
+    """(output, grad-q, grad-k, grad-v) of softmax(q k^T / sqrt(C)) v under
+    upstream g, over whole heads: the formulas attend used when this row was
+    added, which normalise the [P, P] probabilities, in q's dtype."""
+    scale = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps float32 float32
+    qs = q * scale
+    s = np.matmul(qs, k.swapaxes(-1, -2))
+    row_max = s.max(axis=-1, keepdims=True)
+    s -= row_max
+    np.exp(s, out=s)
+    total = s.sum(axis=-1, keepdims=True)
+    s /= total
+    out = np.matmul(s, v)
+    lse = row_max + np.log(total)
+    d = np.einsum("hpc,hpc->hp", g, out)[..., None]
+    prob = np.exp(np.matmul(qs, k.swapaxes(-1, -2)) - lse)
+    ds = (np.matmul(g, v.swapaxes(-1, -2)) - d) * prob
+    return out, np.matmul(ds, k) * scale, np.matmul(ds.swapaxes(-1, -2), qs), np.matmul(prob.swapaxes(-1, -2), g)
+
+
+# [heads, P, C] of the global attention of a full-model B=2 x 1 s step: B
+# times a third of each layer's width, by the chunk count of its length
+TRAIN_STEP_ATTEND = [(80, 125, 64), (160, 31, 64), (320, 7, 64), (640, 1, 64)]
+
+
+@pytest.mark.parametrize("shape", TRAIN_STEP_ATTEND, ids=lambda s: "x".join(map(str, s)))
+def test_attend_float32_error_at_most_twice_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    q, k, v, g = (rng.standard_normal(shape) for _ in range(4))
+    q32, k32, v32, g32 = (a.astype(np.float32) for a in (q, k, v, g))
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q32, k32, v32))
+    with Tape() as tape:
+        y = attend(qt, kt, vt)
+        loss = tsum(mul(y, Tensor(g32)))
+    backward(tape, loss)
+    assert_within_budget(("forward", "grad-q", "grad-k", "grad-v"), (y.data, qt.grad, kt.grad, vt.grad),
+                         attend_reference(q32, k32, v32, g32), attend_reference(q, k, v, g))

@@ -346,12 +346,26 @@ def test_taped_training_forward_holds_only_what_backward_reads():
     assert peak < 450 * 2**20, f"{peak / 2**20:.0f} MiB"
 
 
-@pytest.mark.parametrize("variant, convs", [("full", 109), ("small", 61)])
-def test_every_conv_and_batch_norm_runs_through_the_names_perfbench_wraps(monkeypatch, variant, convs):
-    """perfbench's tracer sees an op only if the model reaches it through
-    the module attribute it replaces (perfbench/worker.py). A call that
-    bypasses the attribute, as an `op=conv1d` default bound at import
-    would, runs untraced."""
+def test_full_eval_forward_of_10_s_peaks_under_195_mib():
+    """Eval batch norm folded into its conv, with the ReLU in place on the
+    conv's output, and a one-buffer sigmoid write each full-length
+    activation once; with a fresh buffer per step this forward peaked at
+    220 MiB in tracemalloc (in the mask's sigmoid at [1, 60, 160000])."""
+    params = build_model(ModelConfig(), seed=0)
+    x = Tensor(0.1 * np.random.default_rng(5).standard_normal((1, 1, 160000)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        manner_forward(x, params, params.config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 195 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def count_wrapped_calls(monkeypatch, variant: str, training: bool):
+    """(calls by name, params) of one forward, counting the model's calls
+    through each module attribute that perfbench/worker.py replaces."""
     calls = Counter()
 
     def count(module, name):
@@ -369,12 +383,35 @@ def test_every_conv_and_batch_norm_runs_through_the_names_perfbench_wraps(monkey
     params = build_model(ModelConfig(variant=variant), seed=0)
     x = Tensor(0.1 * np.random.default_rng(6).standard_normal((1, 1, 1024)).astype(np.float32))
     with Tape():
-        manner_forward(x, params, params.config, training=True)
+        manner_forward(x, params, params.config, training=training)
+    return calls, params
 
-    weights = [name for name, t in params.items() if name.endswith(".weight") and t.ndim == 3]
-    assert calls["conv1d"] + calls["conv_transpose1d"] == len(weights) == convs
+
+def conv_weights(params) -> list[str]:
+    return [name for name, t in params.items() if name.endswith(".weight") and t.ndim == 3]
+
+
+@pytest.mark.parametrize("variant, convs", [("full", 109), ("small", 61)])
+def test_every_conv_and_batch_norm_runs_through_the_names_perfbench_wraps(monkeypatch, variant, convs):
+    """perfbench's tracer sees an op only if the model reaches it through
+    the module attribute it replaces (perfbench/worker.py). A call that
+    bypasses the attribute, as an `op=conv1d` default bound at import
+    would, runs untraced."""
+    calls, params = count_wrapped_calls(monkeypatch, variant, training=True)
+    assert calls["conv1d"] + calls["conv_transpose1d"] == len(conv_weights(params)) == convs
     assert calls["batch_norm"] == sum(name.endswith(".gamma") for name in params) == 25
     assert calls["conv_transpose1d"] == sum(name.endswith(".up.conv.weight") for name in params) == 4
+
+
+@pytest.mark.parametrize("variant, convs", [("full", 109), ("small", 61)])
+def test_every_eval_conv_runs_through_the_names_perfbench_wraps(monkeypatch, variant, convs):
+    """Eval folds each batch norm into its conv, so the folded convs must
+    still be reached through model.conv1d and model.conv_transpose1d, and
+    no batch_norm call is left."""
+    calls, params = count_wrapped_calls(monkeypatch, variant, training=False)
+    assert calls["conv1d"] + calls["conv_transpose1d"] == len(conv_weights(params)) == convs
+    assert calls["batch_norm"] == 0
+    assert calls["conv_transpose1d"] == 4
 
 
 # ---------------------------------------------------------------------

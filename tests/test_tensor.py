@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import manner.nn
 from manner.chunker import chunk, merge
 from manner.loss import StftConfig, stft_magnitude
 from manner.nn import (
@@ -184,10 +185,11 @@ def test_depthwise_backward_matches_block_diagonal_dense(stride, padding, kw):
 
 
 def test_depthwise_forward_copies_no_windows():
-    """The kernel copies the input once into blocks of L outputs with their
-    K-1 halo samples, (L+K-1)/L ~ 1.9 times the input, and frees its padded
-    copy before the output exists; a [B,C,K,T] window copy would peak near
-    K times the input."""
+    """The kernel copies the input into blocks of L outputs with their K-1
+    halo samples one channel group at a time, each group's copy at most
+    DEPTHWISE_BLOCK_BYTES, and writes each group's product straight into
+    its slice of the output; a [B,C,K,T] window copy would peak near K
+    times the input."""
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((1, 64, 8000)).astype(np.float32))
     w = Tensor(rng.standard_normal((64, 1, 31)).astype(np.float32))
@@ -200,6 +202,41 @@ def test_depthwise_forward_copies_no_windows():
         tracemalloc.stop()
     assert out.shape == x.shape
     assert peak < 4 * x.data.nbytes
+
+
+def test_long_depthwise_forward_peaks_under_one_and_a_half_inputs():
+    """At a 10 s full-model ResCon shape the block copy is taken channel
+    group by channel group, so the output is the one full-size buffer; one
+    copy of all channels, (L+K-1)/L ~ 1.9 times the input, peaked near 3x."""
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 240, 40000)).astype(np.float32))
+    w = Tensor(np.full((240, 1, 31), 1 / 31, np.float32))
+    tracemalloc.start()
+    try:
+        conv1d(x, w, zero_bias(240), padding=15, groups=240)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.data.nbytes, f"{peak / x.data.nbytes:.2f}x the input"
+
+
+@pytest.mark.parametrize("shape", [(1, 7, 300), (3, 5, 71), (40, 3, 5)], ids=lambda s: "x".join(map(str, s)))
+def test_depthwise_channel_groups_change_no_bits(monkeypatch, shape):
+    """Forward, grad-x and grad-w with one channel per group equal those of
+    one group over every channel, bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    x, g = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+    w = rng.standard_normal((shape[1], 1, 31)).astype(np.float32)
+    runs = []
+    for budget in (2**40, 1):
+        monkeypatch.setattr(manner.nn, "DEPTHWISE_BLOCK_BYTES", budget)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            y = conv1d(xt, wt, zero_bias(shape[1]), padding=15, groups=shape[1])
+            loss = tsum(mul(y, Tensor(g)))
+        backward(tape, loss)
+        runs.append((y.data, xt.grad, wt.grad))
+    for one, grouped in zip(*runs):
+        np.testing.assert_array_equal(one, grouped)
 
 
 def depthwise_einsum(x, taps, padding, count):
@@ -574,6 +611,28 @@ def test_sigmoid_saturates_without_overflow():
     out = sigmoid(Tensor(np.array([-1e4, 1e4], dtype=np.float32)))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-20)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bits_match_the_plain_formula_and_leave_the_input(dtype):
+    """One buffer, run through the same ufuncs in the same order as
+    1 / (1 + exp(-clip(x))); the input keeps its values."""
+    x = np.random.default_rng(3).uniform(-80.0, 80.0, (3, 1000)).astype(dtype)
+    keep = x.copy()
+    out = sigmoid(Tensor(x)).data
+    np.testing.assert_array_equal(out, 1.0 / (1.0 + np.exp(-np.clip(keep, -60.0, 60.0))))
+    np.testing.assert_array_equal(x, keep)
+
+
+def test_inplace_relu_writes_the_input_buffer_and_keeps_its_gradient():
+    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        h = mul(x, 1.0)  # a fresh buffer the caller owns
+        y = relu(h, inplace=True)
+        loss = tsum(y)
+    assert y.data is h.data
+    backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
 
 
 def test_pool_values():
