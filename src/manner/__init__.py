@@ -1,18 +1,37 @@
 """Time-domain speech enhancement with multi-view attention.
 
-MANNER_THREADS caps intra-op parallelism. It must take effect before the
-BLAS backend initializes, so it is applied here, ahead of any numpy import
-from this package. If numpy was already imported by the host process the
-cap is best effort.
+MANNER_THREADS caps intra-op parallelism. It fills in the BLAS and OpenMP
+thread variables the backends read as they start, leaving any already set.
+If the host process loaded numpy first, its OpenBLAS has read them, so the
+cap goes to that library through its own setter, unless
+OPENBLAS_NUM_THREADS was set.
 """
 
 import os as _os
+import sys as _sys
 
-_threads = _os.environ.get("MANNER_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+
+def _cap_threads(threads: str) -> None:
+    if threads.isdecimal() and "numpy" in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+        import ctypes
+        import glob
+
+        libs = _os.path.join(_os.path.dirname(_sys.modules["numpy"].__file__), _os.pardir, "numpy.libs")
+        for path in glob.glob(_os.path.join(libs, "lib*openblas*.so*")):
+            try:  # RTLD_NOLOAD: only the copy numpy loaded, never a new one
+                lib = ctypes.CDLL(path, mode=_os.RTLD_NOLOAD | _os.RTLD_LAZY)
+            except OSError:
+                continue
+            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+                if hasattr(lib, name):  # numpy 2.x and 1.x wheels
+                    getattr(lib, name)(int(threads))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(var, threads)
+
+
+if _os.environ.get("MANNER_THREADS"):
+    _cap_threads(_os.environ["MANNER_THREADS"])
+del _os, _sys, _cap_threads
 
 from .tensor import Tape, Tensor, backward, finite_diff_check  # noqa: E402
 from .nn import batch_norm, conv1d, conv_transpose1d, linear  # noqa: E402

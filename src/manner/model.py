@@ -154,18 +154,18 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> Mode
 
 
 def conv_bn_relu(x: Tensor, params, conv: str, bn: str, training: bool, op, **kw) -> Tensor:
-    """relu(batch_norm(op(x))), the unit of every normalised conv. Callers
+    """ReLU of batch norm of op(x), the unit of every normalised conv. Callers
     pass `op` (conv1d or conv_transpose1d) by name, so that it is looked up
     at call time, like batch_norm, and a wrapper put on this module sees it.
 
-    Training takes the ReLU in batch_norm's one tape op. Eval folds the
+    Training runs both in batch_norm's one tape op. Eval folds the
     running stats into the conv (Jacob et al., arXiv 1712.05877, §3.2):
     scale = gamma / sqrt(running_var + eps) multiplies the weight's output
     axis, and the bias becomes (b - running_mean) * scale + beta, built
     from tape ops on the small parameters so that their gradients flow."""
     weight, bias = conv_tensors(params, conv)
     if training:
-        return batch_norm(op(x, weight, bias, **kw), *batch_norm_tensors(params, bn), training, relu=True)
+        return batch_norm(op(x, weight, bias, **kw), *batch_norm_tensors(params, bn))
     gamma, beta, mean, var = batch_norm_tensors(params, bn)
     scale = div(gamma, tsqrt(add(var, BATCH_NORM_EPS)))
     axes = (1, -1, 1) if op is conv_transpose1d else (-1, 1, 1)  # Cout: axis 1 of [Cin, Cout, K]

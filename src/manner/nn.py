@@ -330,22 +330,14 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
     return apply_op(np.matmul(xd, wd), (x, weight), bwd)
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
-    training: bool,
-    *,
-    relu: bool = False,
-) -> Tensor:
-    """Per-channel normalization of a [B, Ch, T] tensor.
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+               running_var: Tensor) -> Tensor:
+    """relu(gamma * (x - mean) / sqrt(var + eps) + beta) of a [B, Ch, T]
+    tensor, with the batch's per-channel statistics, as one tape node.
 
-    Training mode normalizes with batch statistics and updates the running
-    buffers in place (a side effect outside the tape); eval mode reads the
-    buffers as constants. With `relu`, the op returns relu(batch_norm(x))
-    bit for bit, as one tape node that saves what batch_norm and relu saved.
+    It updates the running buffers in place, a side effect outside the
+    tape. Eval forwards fold the running stats into the conv instead
+    (model.conv_bn_relu).
     """
     if x.ndim != 3:
         raise ValueError(f"batch_norm input must be [B, Ch, T], got {x.shape}")
@@ -356,57 +348,35 @@ def batch_norm(
 
     xd = x.data
     m = xd.shape[0] * xd.shape[2]
-    if training:
-        # two-pass statistics, the bits of xd.var(); the centred x becomes xhat
-        mean = xd.mean(axis=(0, 2))
-        xhat = xd - mean[None, :, None]
-        out = np.square(xhat)
-        var = out.sum(axis=(0, 2)) / m
-        mom = BATCH_NORM_MOMENTUM
-        running_mean.data[...] = (1.0 - mom) * running_mean.data + mom * mean
-        running_var.data[...] = (1.0 - mom) * running_var.data + mom * var
-    else:
-        mean = running_mean.data
-        var = running_var.data
+    # two-pass statistics, the bits of xd.var(); the centred x becomes xhat
+    mean = xd.mean(axis=(0, 2))
+    xhat = xd - mean[None, :, None]
+    out = np.square(xhat)
+    var = out.sum(axis=(0, 2)) / m
+    mom = BATCH_NORM_MOMENTUM
+    running_mean.data[...] = (1.0 - mom) * running_mean.data + mom * mean
+    running_var.data[...] = (1.0 - mom) * running_var.data + mom * var
 
     inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     scale = (gamma.data * inv_std).astype(xd.dtype)[None, :, None]
-    if training:
-        xhat *= inv_std[None, :, None]
-        np.multiply(xhat, gamma.data[None, :, None], out=out)
-        out += beta.data[None, :, None]
-        saved = xhat
-    else:
-        # Eval stats are constants, so the whole op folds to one affine map.
-        shift = (beta.data - gamma.data * mean * inv_std).astype(xd.dtype)
-        out = xd * scale
-        out += shift[None, :, None]
-        saved = xd  # xhat is rebuilt from x only if gamma needs a gradient
-    if relu:
-        # a fresh buffer, as the separate relu took: in place, glibc's heap
-        # kept more pages (a 10 s full forward peaked at 388 MiB RSS, not 364)
-        out = np.maximum(out, 0.0)
-    active = out if relu else None
+    xhat *= inv_std[None, :, None]
+    np.multiply(xhat, gamma.data[None, :, None], out=out)
+    out += beta.data[None, :, None]
+    # a fresh buffer, not in place: allocation order alone moved a 10 s
+    # forward's peak RSS from 364 to 388 MiB when eval still ran this op
+    out = np.maximum(out, 0.0)
 
     def bwd(g, needs):
-        if relu:  # the masked g is this op's own buffer; an upstream g may be shared
-            g = g * (active > 0)
-        xh = saved
-        if not training and needs[1]:
-            xh = (saved - mean[None, :, None]) * inv_std[None, :, None]
+        g = g * (out > 0)  # the masked g is this op's own buffer; an upstream g may be shared
         # gamma leaves the channel sums: sum(gamma g) = gamma sum(g)
         sum_g = g.sum(axis=(0, 2))
-        prod = g * xh if needs[1] or (needs[0] and training) else None
-        sum_gx = None if prod is None else prod.sum(axis=(0, 2))
+        prod = g * xhat
+        sum_gx = prod.sum(axis=(0, 2))
         gx = None
-        if needs[0]:
-            own = g if relu else None
-            if training:  # the batch statistics depend on x too
-                gx = np.subtract(g, (sum_g / m)[None, :, None], out=own)
-                gx -= np.multiply(xh, (sum_gx / m)[None, :, None], out=prod)
-                gx *= scale
-            else:
-                gx = np.multiply(g, scale, out=own)
+        if needs[0]:  # the batch statistics depend on x too
+            gx = np.subtract(g, (sum_g / m)[None, :, None], out=g)
+            gx -= np.multiply(xhat, (sum_gx / m)[None, :, None], out=prod)
+            gx *= scale
         return (gx, sum_gx if needs[1] else None, sum_g if needs[2] else None, None, None)
 
     return apply_op(out, (x, gamma, beta, running_mean, running_var), bwd)

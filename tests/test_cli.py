@@ -4,7 +4,10 @@ CLI tests drive main() in-process and assert on exit codes plus the files
 each subcommand leaves behind. A toy model keeps every run under a second.
 """
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -562,3 +565,35 @@ def test_bench_bad_variant_exits_2(tmp_path, capsys):
     rc = main(["bench", "--variant", "tiny", "--out", str(tmp_path / "b")])
     assert rc == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- threads
+
+BLAS_THREADS_SCRIPT = """
+import ctypes, glob, os
+import numpy
+import manner
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
+    lib = ctypes.CDLL(path)
+    if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        print(lib.scipy_openblas_get_num_threads64_())
+        break
+else:
+    print("none")
+"""
+
+
+def test_manner_threads_reaches_the_openblas_numpy_loaded_first():
+    """A host that imports numpy before manner has already started
+    OpenBLAS, which read its thread variables then; MANNER_THREADS=1 must
+    still leave it at one thread, on a machine with more than one CPU."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env.update(MANNER_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy does not ship scipy-openblas here")
+    assert proc.stdout.strip() == "1"

@@ -414,6 +414,21 @@ def test_every_eval_conv_runs_through_the_names_perfbench_wraps(monkeypatch, var
     assert calls["conv_transpose1d"] == 4
 
 
+def test_eval_forward_leaves_batch_norm_buffers_and_training_moves_them():
+    """Eval reads every running_mean and running_var through the fold and
+    leaves each bit-identical; a training forward updates every one."""
+    params = build_model(ModelConfig(variant="small"), seed=0)
+    names = [name for name in params if name.endswith((".running_mean", ".running_var"))]
+    assert len(names) == 50
+    before = {name: params[name].data.copy() for name in names}
+    x = Tensor(0.1 * np.random.default_rng(7).standard_normal((1, 1, 1024)).astype(np.float32))
+    manner_forward(x, params, params.config, training=False)
+    for name in names:
+        np.testing.assert_array_equal(params[name].data, before[name], err_msg=name)
+    manner_forward(x, params, params.config, training=True)
+    assert [name for name in names if np.array_equal(params[name].data, before[name])] == []
+
+
 # ---------------------------------------------------------------------
 # gradients
 
