@@ -4,15 +4,21 @@ MANNER_THREADS caps intra-op parallelism. It fills in the BLAS and OpenMP
 thread variables the backends read as they start, leaving any already set.
 If the host process loaded numpy first, its OpenBLAS has read them, so the
 cap goes to that library through its own setter, unless
-OPENBLAS_NUM_THREADS was set.
+OPENBLAS_NUM_THREADS was set. A value that is not a positive whole number
+is ignored with a warning.
 """
 
 import os as _os
 import sys as _sys
+import warnings as _warnings
 
 
-def _cap_threads(threads: str) -> None:
-    if threads.isdecimal() and "numpy" in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+def _cap_threads(value: str) -> None:
+    threads = value.strip()
+    if not (threads.isascii() and threads.isdecimal() and int(threads) > 0):
+        _warnings.warn(f"MANNER_THREADS={value!r} is not a positive whole number; ignored")
+        return
+    if "numpy" in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
         import ctypes
         import glob
 
@@ -31,13 +37,13 @@ def _cap_threads(threads: str) -> None:
 
 if _os.environ.get("MANNER_THREADS"):
     _cap_threads(_os.environ["MANNER_THREADS"])
-del _os, _sys, _cap_threads
+del _os, _sys, _warnings, _cap_threads
 
 from .tensor import Tape, Tensor, backward, finite_diff_check  # noqa: E402
 from .nn import batch_norm, conv1d, conv_transpose1d, linear  # noqa: E402
 from .chunker import chunk, merge  # noqa: E402
 from .model import ModelConfig, build_model, manner_forward, num_params  # noqa: E402
-from .loss import StftConfig, combined_loss, multires_stft_loss, stft_loss, weighted_total_loss  # noqa: E402
+from .loss import StftConfig, stft_loss, weighted_total_loss  # noqa: E402
 from .audio import AudioClip, pair_corpus, read_wav, segment, tempo_perturb, write_wav  # noqa: E402
 from .metrics import si_snr  # noqa: E402
 from .trainer import TrainSettings, adam_step, init_adam, onecycle_lr, train  # noqa: E402
@@ -57,7 +63,6 @@ __all__ = [
     "batch_norm",
     "build_model",
     "chunk",
-    "combined_loss",
     "conv1d",
     "conv_transpose1d",
     "finite_diff_check",
@@ -66,7 +71,6 @@ __all__ = [
     "load_checkpoint",
     "manner_forward",
     "merge",
-    "multires_stft_loss",
     "num_params",
     "onecycle_lr",
     "pair_corpus",

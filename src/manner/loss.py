@@ -122,21 +122,14 @@ def stft_loss(clean: Tensor, estimate: Tensor, cfg: StftConfig) -> tuple[Tensor,
     return sc, mag
 
 
-def multires_stft_loss(
-    clean: Tensor,
-    estimate: Tensor,
-    resolutions: tuple[StftConfig, ...] | None = None,
-) -> tuple[Tensor, list[tuple[float, float]]]:
-    """Average of (sc + mag) over the resolutions that fit the signal.
-
-    Returns the loss (scalar or [B]) and per-resolution (sc, mag) means for
-    reporting, with NaN where a resolution was skipped.
-    """
-    resolutions = default_resolutions() if resolutions is None else resolutions
+def _branch_loss(clean: Tensor, estimate: Tensor,
+                 resolutions: tuple[StftConfig, ...]) -> tuple[Tensor, float, list]:
+    """Waveform L1 plus the mean of (sc + mag) over the resolutions that fit
+    the signal: the [B] loss, the L1 mean, and per-resolution (sc, mag)
+    means for reporting, NaN where a resolution was skipped."""
     t = clean.shape[-1]
-    total = None
-    used = 0
-    terms: list[tuple[float, float]] = []
+    l1 = tmean(tabs(sub(clean, estimate)), axis=-1)
+    spectral, used, terms = None, 0, []
     for cfg in resolutions:
         if t < cfg.win_length:
             log.warning("skipping STFT resolution win=%d: signal length %d too short", cfg.win_length, t)
@@ -144,29 +137,15 @@ def multires_stft_loss(
             continue
         sc, mag = stft_loss(clean, estimate, cfg)
         term = sc + mag
-        total = term if total is None else total + term
+        spectral = term if spectral is None else spectral + term
         used += 1
         terms.append((float(np.mean(sc.data)), float(np.mean(mag.data))))
-    if total is None:
+    if spectral is None:
         log.warning("all STFT resolutions skipped for signal length %d", t)
-        shape = clean.shape[:-1]
-        return Tensor(np.zeros(shape, dtype=clean.dtype)), terms
-    return mul(total, 1.0 / used), terms
-
-
-def combined_loss(
-    clean: Tensor,
-    estimate: Tensor,
-    resolutions: tuple[StftConfig, ...] | None = None,
-) -> tuple[Tensor, dict]:
-    """Waveform L1 plus the multi-resolution spectral term."""
-    if clean.shape != estimate.shape:
-        raise ValueError(f"shape mismatch: {clean.shape} vs {estimate.shape}")
-    l1 = tmean(tabs(sub(clean, estimate)), axis=-1)
-    spectral, terms = multires_stft_loss(clean, estimate, resolutions)
-    loss = l1 + spectral
-    parts = {"l1": float(np.mean(l1.data)), "terms": terms}
-    return loss, parts
+        spectral = Tensor(np.zeros(clean.shape[:-1], dtype=clean.dtype))
+    else:
+        spectral = mul(spectral, 1.0 / used)
+    return l1 + spectral, float(np.mean(l1.data)), terms
 
 
 @dataclass
@@ -216,11 +195,12 @@ def weighted_total_loss(
             f"shape mismatch: noisy {noisy.shape}, clean {clean.shape}, estimate {estimate.shape}"
         )
 
-    clean_vec, clean_parts = combined_loss(clean, estimate, resolutions)
+    resolutions = default_resolutions() if resolutions is None else resolutions
+    clean_vec, l1, terms = _branch_loss(clean, estimate, resolutions)
     if weighted:
         noise = sub(noisy, clean)
         noise_est = sub(noisy, estimate)
-        noise_vec, _ = combined_loss(noise, noise_est, resolutions)
+        noise_vec = _branch_loss(noise, noise_est, resolutions)[0]
 
         # alpha depends only on fixed signals, so it is a constant weight.
         e_clean = np.sum(clean.data.astype(np.float64) ** 2, axis=-1)
@@ -232,13 +212,6 @@ def weighted_total_loss(
         total = tmean(mul(alpha_t, clean_vec) + mul(rest_t, noise_vec))
         mean_alpha = float(np.mean(alpha))
     else:
-        total = tmean(clean_vec)
-        mean_alpha = 1.0
-    report = LossReport(
-        total=total.item(),
-        l1=clean_parts["l1"],
-        sc=tuple(s for s, _ in clean_parts["terms"]),
-        mag=tuple(m for _, m in clean_parts["terms"]),
-        alpha=mean_alpha,
-    )
-    return total, report
+        total, mean_alpha = tmean(clean_vec), 1.0
+    sc, mag = tuple(s for s, _ in terms), tuple(m for _, m in terms)
+    return total, LossReport(total.item(), l1, sc, mag, mean_alpha)

@@ -570,9 +570,12 @@ def test_bench_bad_variant_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------- threads
 
 BLAS_THREADS_SCRIPT = """
-import ctypes, glob, os
+import ctypes, glob, os, warnings
 import numpy
-import manner
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import manner
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(caught))
 libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
 for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
     lib = ctypes.CDLL(path)
@@ -587,13 +590,20 @@ else:
 def test_manner_threads_reaches_the_openblas_numpy_loaded_first():
     """A host that imports numpy before manner has already started
     OpenBLAS, which read its thread variables then; MANNER_THREADS=1 must
-    still leave it at one thread, on a machine with more than one CPU."""
+    still leave it at one thread, on a machine with more than one CPU,
+    padded or not. A value that is not a positive whole number warns and
+    sets no thread variable."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env.update(MANNER_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    if proc.stdout.strip() == "none":
-        pytest.skip("numpy does not ship scipy-openblas here")
-    assert proc.stdout.strip() == "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for value, variable, warned, threads in (("1", "1", 0, "1"), (" 1", "1", 0, "1"),
+                                             ("abc", "None", 1, None), ("0", "None", 1, None)):
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=dict(env, MANNER_THREADS=value),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        seen, count = proc.stdout.split("\n")[:2]
+        assert seen == f"{variable} {warned}", value
+        if count == "none":
+            pytest.skip("numpy does not ship scipy-openblas here")
+        if threads is not None:
+            assert count == threads, value

@@ -11,10 +11,8 @@ from manner.loss import (
     DEFAULT_RESOLUTIONS,
     LossReport,
     StftConfig,
-    combined_loss,
     default_resolutions,
     hann_window,
-    multires_stft_loss,
     num_frames,
     stft_loss,
     stft_magnitude,
@@ -231,7 +229,7 @@ def test_stft_loss_gradcheck():
 
 
 # ---------------------------------------------------------------------
-# multi-resolution and combined
+# multi-resolution objective, one branch (weighted=False)
 
 
 SMALL_RES = tuple(
@@ -239,15 +237,22 @@ SMALL_RES = tuple(
 )
 
 
+def unweighted(clean, est, resolutions=SMALL_RES):
+    """The clean branch alone: the noisy input only has to match in shape."""
+    return weighted_total_loss(Tensor(clean), Tensor(clean), Tensor(est), resolutions, weighted=False)
+
+
 def test_multires_matches_reference():
     rng = np.random.default_rng(7)
     y = rng.standard_normal(512)
     e = y + 0.5 * rng.standard_normal(512)
-    loss, terms = multires_stft_loss(Tensor(y), Tensor(e), SMALL_RES)
+    loss, report = unweighted(y, e)
     expected = multires_reference(y, e, ((64, 16, 32), (128, 32, 64), (256, 64, 128)))
-    np.testing.assert_allclose(loss.item(), expected, rtol=1e-9)
-    assert len(terms) == 3
-    np.testing.assert_allclose(loss.item(), np.mean([s + m for s, m in terms]), rtol=1e-6)
+    np.testing.assert_allclose(loss.item() - report.l1, expected, rtol=1e-9)
+    np.testing.assert_allclose(report.l1, np.mean(np.abs(y - e)), rtol=1e-12)
+    assert len(report.sc) == len(report.mag) == 3
+    np.testing.assert_allclose(loss.item() - report.l1,
+                               np.mean(np.add(report.sc, report.mag)), rtol=1e-6)
 
 
 def test_multires_skips_short_resolutions(caplog):
@@ -255,40 +260,41 @@ def test_multires_skips_short_resolutions(caplog):
     y = rng.standard_normal(100)
     e = rng.standard_normal(100)
     with caplog.at_level(logging.WARNING, logger="manner.loss"):
-        loss, terms = multires_stft_loss(Tensor(y), Tensor(e), SMALL_RES)
+        loss, report = unweighted(y, e)
     assert any("skipping" in r.message for r in caplog.records)
-    assert not math.isnan(terms[0][0]) and not math.isnan(terms[1][0])
-    assert math.isnan(terms[2][0]) and math.isnan(terms[2][1])
-    only_two = multires_stft_loss(Tensor(y), Tensor(e), SMALL_RES[:2])[0]
+    assert not math.isnan(report.sc[0]) and not math.isnan(report.sc[1])
+    assert math.isnan(report.sc[2]) and math.isnan(report.mag[2])
+    only_two = unweighted(y, e, SMALL_RES[:2])[0]
     np.testing.assert_allclose(loss.item(), only_two.item(), rtol=1e-12)
 
 
 def test_multires_all_skipped_is_zero(caplog):
-    y = Tensor(np.ones(16))
+    """With no resolution left, the spectral term is zero: the loss is
+    the waveform L1 alone."""
     with caplog.at_level(logging.WARNING, logger="manner.loss"):
-        loss, terms = multires_stft_loss(y, Tensor(np.zeros(16)), SMALL_RES)
-    assert loss.item() == 0.0
-    assert all(math.isnan(s) for s, _ in terms)
+        loss, report = unweighted(np.ones(16), np.zeros(16))
+    assert any("all STFT resolutions skipped" in r.message for r in caplog.records)
+    assert loss.item() == report.l1 == 1.0
+    assert all(math.isnan(s) and math.isnan(m) for s, m in zip(report.sc, report.mag))
 
 
-def test_combined_loss_constant_offset_hits_l1():
+def test_constant_offset_hits_l1():
     y = np.zeros(512)
     e = np.full(512, -0.25)
-    loss, parts = combined_loss(Tensor(y + 1.0), Tensor(y + 1.0 + e), SMALL_RES)
-    assert abs(parts["l1"] - 0.25) < 1e-12
+    _, report = unweighted(y + 1.0, y + 1.0 + e)
+    assert abs(report.l1 - 0.25) < 1e-12
 
 
-def test_combined_loss_l1_scales_spectral_does_not_budge_much():
+def test_l1_scales_spectral_terms_do_not_budge():
     """Doubling both signals doubles L1; sc and the log ratios stay put."""
     rng = np.random.default_rng(9)
     y = rng.standard_normal(512)
     e = y + 0.4 * rng.standard_normal(512)
-    _, p1 = combined_loss(Tensor(y), Tensor(e), SMALL_RES)
-    _, p2 = combined_loss(Tensor(2.0 * y), Tensor(2.0 * e), SMALL_RES)
-    assert abs(p2["l1"] - 2.0 * p1["l1"]) < 1e-12
-    for (s1, m1), (s2, m2) in zip(p1["terms"], p2["terms"]):
-        np.testing.assert_allclose(s1, s2, rtol=1e-9)
-        np.testing.assert_allclose(m1, m2, rtol=1e-9)
+    _, r1 = unweighted(y, e)
+    _, r2 = unweighted(2.0 * y, 2.0 * e)
+    assert abs(r2.l1 - 2.0 * r1.l1) < 1e-12
+    np.testing.assert_allclose(r1.sc, r2.sc, rtol=1e-9)
+    np.testing.assert_allclose(r1.mag, r2.mag, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------
@@ -330,8 +336,12 @@ def test_unweighted_reports_alpha_one_and_clean_branch_only():
     total, report = weighted_total_loss(Tensor(noisy), Tensor(clean), Tensor(est),
                                         SMALL_RES, weighted=False)
     assert report.alpha == 1.0
-    clean_only, _ = combined_loss(Tensor(clean), Tensor(est), SMALL_RES)
-    np.testing.assert_allclose(total.item(), clean_only.item(), rtol=1e-12)
+    # the noisy input does not reach the loss, and the loss is the
+    # clean branch's waveform L1 plus its multi-resolution term
+    assert total.item() == unweighted(clean, est)[0].item()
+    expected = np.mean(np.abs(clean - est)) + multires_reference(
+        clean, est, ((64, 16, 32), (128, 32, 64), (256, 64, 128)))
+    np.testing.assert_allclose(total.item(), expected, rtol=1e-9)
 
 
 def test_weighted_total_is_mean_of_per_example_totals():

@@ -433,8 +433,7 @@ def test_eval_forward_leaves_batch_norm_buffers_and_training_moves_them():
 # gradients
 
 
-def test_model_gradcheck():
-    """Finite differences through the whole net on a toy geometry."""
+def model_gradcheck_error(batch: int, training: bool) -> float:
     cfg = ModelConfig(**TOY)
     params = build_model(cfg, seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
@@ -443,15 +442,26 @@ def test_model_gradcheck():
     for t in trainable(params).values():
         if not t.data.any():
             t.data += rng.uniform(0.05, 0.15, size=t.shape)
-    x = Tensor(rng.standard_normal((1, 1, 64)), requires_grad=True)
+    x = Tensor(rng.standard_normal((batch, 1, 64)), requires_grad=True)
     tensors = [x] + list(trainable(params).values())
 
     def f(*_):
-        return tsum(manner_forward(x, params, cfg, training=False))
+        return tsum(manner_forward(x, params, cfg, training=training))
 
-    err = finite_diff_check(f, tensors, max_checks_per_input=2,
-                            rng=np.random.default_rng(0))
-    assert err < 1e-6
+    return finite_diff_check(f, tensors, max_checks_per_input=2, rng=np.random.default_rng(0))
+
+
+def test_model_gradcheck():
+    """Finite differences through the whole eval net, batch norm folded
+    into its convs, on a toy geometry."""
+    assert model_gradcheck_error(1, training=False) < 1e-6
+
+
+def test_model_gradcheck_training():
+    """The same through the training forward that Adam differentiates:
+    batch statistics, each batch norm's ReLU in its one node, and the
+    buffers its backward reads after the forward has moved on."""
+    assert model_gradcheck_error(2, training=True) < 1e-6
 
 
 def test_every_gradient_is_c_contiguous_in_its_parameter_shape():
